@@ -19,10 +19,26 @@ its updates: ``freeze`` forwards the token unchanged, ``early_exit``
 additionally marks it terminated so no later cluster touches it. The first
 cluster has no chain predecessor and always processes.
 
-The scheduler is a deterministic single-threaded event loop; detection math
-reuses the exact step functions of :mod:`daisymimo.detectors`, so outputs are
-bit-identical to a monolithic :func:`daisymimo.detectors.run_chain` run for
-every partition of the array.
+The timeline follows the tokens, but the math runs cluster by cluster:
+:func:`simulate_slot` takes the whole block through cluster 0, then through
+cluster 1, and so on, with one :func:`daisymimo.detectors.absorb` call per
+cluster over the REs that cluster does not skip. That yields the numbers the
+token-by-token timeline would, because
+
+* what cluster ``c`` does to RE ``r`` depends only on RE ``r``'s token from
+  cluster ``c-1`` and on data local to cluster ``c`` (its rows, its RLS
+  gains, RE ``r``'s samples at its antennas), never on other REs or on the
+  tick at which the job runs;
+* the schedule does not depend on the data: a skipped job still holds its
+  cluster for ``re_ticks``, so only the ``skipped`` flags come from the math.
+
+A deterministic single-threaded event loop then lays out the schedule from
+bare ``(cluster, RE)`` jobs. The kernel rounds each RE as it would alone, so
+every delivered estimate is bit-identical to
+:func:`daisymimo.detectors.run_chain` over the antennas that processed that
+RE, for every partition of the array and whatever other REs share the block.
+Observations and RLS gains live only for the duration of a call; the chain's
+nodes are never written to.
 """
 
 from __future__ import annotations
@@ -35,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import detectors
-from .detectors import AsgdParams, AsgdState, EstimateVector, SgdParams
+from .detectors import AsgdParams, ChainState, EstimateVector, SgdParams
 from .signal_model import ChannelMatrix
 
 __all__ = [
@@ -46,7 +62,6 @@ __all__ = [
     "TimelineReport",
     "TokenMessage",
     "TopologyConfig",
-    "apply_power_save",
     "build_chain",
     "extend_chain",
     "simulate_slot",
@@ -79,16 +94,15 @@ class TopologyConfig:
 
 @dataclass
 class ClusterNode:
-    """One cluster: B channel rows plus (per slot) its B observation samples per RE.
+    """One cluster: its B channel rows, in antenna order.
 
-    CSI, observations and the preprocessing slice are node-local by contract;
-    they are never placed on a :class:`TokenMessage`.
+    CSI is node-local by contract and is never placed on a
+    :class:`TokenMessage`; so are the cluster's observations and RLS gains,
+    which exist only while :func:`simulate_slot` runs.
     """
 
     cluster_id: int
     local_csi: np.ndarray
-    local_observations: Optional[np.ndarray] = None  # (R, B), set per slot
-    precomp: Optional[detectors.RlsPrecomp] = None  # this cluster's slice
 
     @property
     def b_antennas(self) -> int:
@@ -117,14 +131,6 @@ class TokenMessage:
         k = len(self.estimate.values)
         return 2 * k if self.aux_iterate is not None else k
 
-    def copy(self) -> "TokenMessage":
-        return TokenMessage(
-            estimate=self.estimate.copy(),
-            re_id=self.re_id,
-            aux_iterate=None if self.aux_iterate is None else self.aux_iterate.copy(),
-            terminated=self.terminated,
-        )
-
 
 @dataclass(frozen=True)
 class PowerSavePolicy:
@@ -145,11 +151,6 @@ class PowerSavePolicy:
             raise ValueError("threshold must be >= 0")
 
 
-def apply_power_save(mode: str, threshold: float) -> PowerSavePolicy:
-    """Build the behavior modifier handed to :func:`simulate_slot`."""
-    return PowerSavePolicy(mode=mode, threshold=threshold)
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Tick costs: per cluster-RE processing step and per-cluster preprocessing job."""
@@ -162,7 +163,7 @@ class CostModel:
             raise ValueError("re_ticks must be >= 1 and prep_ticks >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEntry:
     cluster_id: int
     re_id: int  # -1 marks a preprocessing job
@@ -240,64 +241,87 @@ def _antenna_offsets(chain: Sequence[ClusterNode]) -> list:
     return offsets
 
 
-def _prep_cluster(node: ClusterNode, gamma_in: np.ndarray) -> np.ndarray:
-    """Absorb this cluster's rows into the RLS surrogate; store local gains."""
-    node.precomp = detectors.rls_preprocess(node.local_csi, gamma0=gamma_in, block_id=node.cluster_id)
-    return node.precomp.gamma_final
-
-
-def _probe_errors(node: ClusterNode, re_idx: int, reference: np.ndarray) -> np.ndarray:
-    return node.local_observations[re_idx] - node.local_csi @ reference
-
-
-def _process_re(node, algorithm, params, token, power_save, is_first_cluster):
-    """Apply (or skip) one cluster's B antenna updates to a token.
-
-    Returns ``(token_out, skipped)``. The arithmetic is delegated to the
-    shared step functions so results match the monolithic chain bit for bit.
-    """
-    if token.terminated:
-        return token.copy(), True
-
-    if power_save is not None and not is_first_cluster:
-        reference = token.aux_iterate if algorithm == "asgd" else token.estimate.values
-        probe = _probe_errors(node, token.re_id, reference)
-        if np.abs(probe).max() < power_save.threshold:
-            out = token.copy()
-            if power_save.mode == "early_exit":
-                out.terminated = True
-            return out, True
-
-    y_local = node.local_observations[token.re_id]
-    if algorithm == "rls":
-        estimate = token.estimate
-        for i in range(node.b_antennas):
-            record = detectors.rls_step(
-                estimate, node.local_csi[i], y_local[i], node.precomp.alphas[i], node.precomp.zs[i]
-            )
-            estimate = record.estimate_after
-        return TokenMessage(estimate=estimate, re_id=token.re_id), False
-    if algorithm == "sgd":
-        estimate = token.estimate
-        for i in range(node.b_antennas):
-            record = detectors.sgd_step(
-                estimate, node.local_csi[i], y_local[i], params.step_size(estimate.antenna_index + 1)
-            )
-            estimate = record.estimate_after
-        return TokenMessage(estimate=estimate, re_id=token.re_id), False
-    state = AsgdState(
-        x=token.aux_iterate,
-        s_avg=token.estimate.values,
-        n=token.estimate.antenna_index,
-        n0=params.n0,
+def _absorb_some(algorithm, state: ChainState, idx: np.ndarray, rows, ys, params) -> ChainState:
+    """Absorb ``rows`` into the REs ``idx`` of ``state`` only, returning new arrays."""
+    x = state.x
+    part = detectors.absorb(
+        algorithm, ChainState(state.s[idx], state.n[idx], None if x is None else x[idx]), rows, ys, params
     )
-    for i in range(node.b_antennas):
-        state = detectors.asgd_step(state, node.local_csi[i], y_local[i], params.step_size(state.n + 1))
-    return TokenMessage(
-        estimate=EstimateVector(state.s_avg, state.n),
-        re_id=token.re_id,
-        aux_iterate=state.x,
-    ), False
+    s, n = state.s.copy(), state.n.copy()
+    s[idx], n[idx] = part.s, part.n
+    if x is not None:
+        x = x.copy()
+        x[idx] = part.x
+    return ChainState(s, n, x)
+
+
+def _detect_block(chain, offsets, algorithm, samples, params, start, power_save, keep_tokens):
+    """Take every RE of the block through the clusters in order.
+
+    Returns ``(state, skipped, tokens)``: the final :class:`ChainState` over
+    the REs, the ``(C, R)`` skip flags, and, with ``keep_tokens``, each
+    cluster's outgoing tokens as ``(s, n, x, terminated)`` arrays.
+    """
+    n_re, k = samples.shape[0], start.shape[0]
+    state = ChainState.start(algorithm, start, (n_re,))
+    terminated = np.zeros(n_re, dtype=bool)
+    skipped = np.zeros((len(chain), n_re), dtype=bool)
+    gamma = np.eye(k, dtype=np.complex128)
+    tokens = []
+    for c, (node, off) in enumerate(zip(chain, offsets)):
+        ys = samples[:, off : off + node.b_antennas]
+        gains = params
+        if algorithm == "rls":
+            # The surrogate handoff: this cluster's gains continue the upstream gamma.
+            gains = detectors.rls_preprocess(node.local_csi, gamma0=gamma, block_id=node.cluster_id)
+            gamma = gains.gamma_final
+        skip = terminated
+        if power_save is not None and c > 0:
+            # Probe: every per-antenna prediction error against the incoming state.
+            reference = state.x if algorithm == "asgd" else state.s
+            errors = detectors._residual(reference[:, None, :], node.local_csi.conj(), ys)
+            quiet = np.abs(errors).max(axis=1) < power_save.threshold
+            skip = terminated | quiet
+            if power_save.mode == "early_exit":
+                terminated = skip
+        skipped[c] = skip
+        work = np.flatnonzero(~skip)
+        if work.size == n_re:
+            state = detectors.absorb(algorithm, state, node.local_csi, ys, gains)
+        elif work.size:
+            state = _absorb_some(algorithm, state, work, node.local_csi, ys[work], gains)
+        if keep_tokens:
+            tokens.append((state.s, state.n, state.x, terminated))
+    return state, skipped, tokens
+
+
+def _schedule(n_clusters: int, n_re: int, with_prep: bool, cost: CostModel) -> list:
+    """The slot's jobs as ``(cluster_idx, re_id, start, end)`` in execution order.
+
+    A job becomes ready when its upstream handoff lands; a busy cluster queues
+    jobs in arrival order. ``re_id`` -1 is an RLS preprocessing job.
+    """
+    events = []  # (ready_tick, seq, cluster_idx, re_id)
+    seq = 0
+    if with_prep:
+        events.append((0, seq, 0, -1))
+        seq += 1
+    for r in range(n_re):
+        events.append((0, seq, 0, r))
+        seq += 1
+    free_at = [0] * n_clusters
+    jobs = []
+    pop, push, last = heapq.heappop, heapq.heappush, n_clusters - 1
+    while events:
+        ready, _, c, r = pop(events)
+        start = ready if ready > free_at[c] else free_at[c]
+        end = start + (cost.prep_ticks if r < 0 else cost.re_ticks)
+        jobs.append((c, r, start, end))
+        if c < last:
+            push(events, (end, seq, c + 1, r))
+            seq += 1
+        free_at[c] = end
+    return jobs
 
 
 def simulate_slot(
@@ -317,7 +341,9 @@ def simulate_slot(
     holds the final :class:`EstimateVector` per RE in batch order.
 
     ``message_log``, when given, receives a copy of every inter-cluster token
-    (chain handoffs plus the final delivery to the sink).
+    (chain handoffs plus the final delivery to the sink) in timeline order.
+    The nodes of ``chain`` are not modified, so a chain can serve any number
+    of slots.
     """
     if algorithm not in detectors.ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {detectors.ALGORITHMS}")
@@ -339,70 +365,35 @@ def simulate_slot(
     samples = np.stack([np.asarray(getattr(rv, "samples", rv)) for rv in re_batch])
     if samples.shape != (n_re, m_total):
         raise ValueError(f"observations have shape {samples.shape}, expected ({n_re}, {m_total})")
-    for node, off in zip(chain, offsets):
-        node.local_observations = samples[:, off : off + node.b_antennas]
 
-    start_values = np.zeros(k, dtype=np.complex128) if s0 is None else np.asarray(
-        getattr(s0, "values", s0), dtype=np.complex128
-    ).copy()
+    start_values = detectors._initial_estimate(k, s0)
+    state, skipped, tokens = _detect_block(
+        chain, offsets, algorithm, samples, params, start_values, power_save, message_log is not None
+    )
 
-    def fresh_token(re_id: int) -> TokenMessage:
-        return TokenMessage(
-            estimate=EstimateVector(start_values.copy(), 0),
-            re_id=re_id,
-            aux_iterate=start_values.copy() if algorithm == "asgd" else None,
-        )
+    jobs = _schedule(n_clusters, n_re, algorithm == "rls", cost)
+    ids = [node.cluster_id for node in chain]
+    flags = skipped.tolist()
+    entries = [
+        TimelineEntry(ids[c], r, start, end, r >= 0 and flags[c][r]) for c, r, start, end in jobs
+    ]
+    if message_log is not None:
+        for c, r, _, _ in jobs:
+            if r >= 0:
+                s, n, x, terminated = tokens[c]
+                message_log.append(TokenMessage(
+                    estimate=EstimateVector(s[r].copy(), int(n[r])),
+                    re_id=r,
+                    aux_iterate=None if x is None else x[r].copy(),
+                    terminated=bool(terminated[r]),
+                ))
 
-    # Deterministic event loop: jobs become ready when their upstream handoff
-    # lands; a busy cluster queues them in arrival order.
-    events = []  # (ready_tick, seq, cluster_idx, kind, payload)
-    seq = 0
-    if algorithm == "rls":
-        heapq.heappush(events, (0, seq, 0, "prep", np.eye(k, dtype=np.complex128)))
-        seq += 1
-    for r in range(n_re):
-        heapq.heappush(events, (0, seq, 0, "re", fresh_token(r)))
-        seq += 1
-
-    free_at = [0] * n_clusters
-    entries = []
-    outputs = [None] * n_re
-    skipped_steps = 0
-
-    while events:
-        ready, _, c, kind, payload = heapq.heappop(events)
-        start = max(ready, free_at[c])
-        node = chain[c]
-        if kind == "prep":
-            gamma_out = _prep_cluster(node, payload)
-            end = start + cost.prep_ticks
-            entries.append(TimelineEntry(node.cluster_id, -1, start, end))
-            if c + 1 < n_clusters:
-                heapq.heappush(events, (end, seq, c + 1, "prep", gamma_out))
-                seq += 1
-        else:
-            token_out, skipped = _process_re(node, algorithm, params, payload, power_save, c == 0)
-            end = start + cost.re_ticks
-            entries.append(TimelineEntry(node.cluster_id, payload.re_id, start, end, skipped))
-            skipped_steps += int(skipped)
-            if message_log is not None:
-                message_log.append(token_out.copy())
-            if c + 1 < n_clusters:
-                heapq.heappush(events, (end, seq, c + 1, "re", token_out))
-                seq += 1
-            else:
-                outputs[token_out.re_id] = token_out.estimate
-        free_at[c] = end
-
-    first_re = min(e.re_id for e in entries if e.re_id >= 0)
-    re_starts = {
-        e.cluster_id: e.start_tick for e in entries if e.re_id == first_re
-    }
-    pipeline_delay = re_starts[chain[-1].cluster_id] - re_starts[chain[0].cluster_id]
+    first_starts = {c: start for c, r, start, _ in jobs if r == 0}
     report = TimelineReport(
         entries=entries,
-        pipeline_delay=pipeline_delay,
-        total_ticks=max(e.end_tick for e in entries),
-        skipped_steps=skipped_steps,
+        pipeline_delay=first_starts[n_clusters - 1] - first_starts[0],
+        total_ticks=max(end for _, _, _, end in jobs),
+        skipped_steps=int(skipped.sum()),
     )
+    outputs = [EstimateVector(values, int(n)) for values, n in zip(state.s, state.n)]
     return outputs, report

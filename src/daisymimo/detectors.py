@@ -32,6 +32,18 @@ Three update rules are provided.
     the running average of ``x`` once the step index reaches the onset ``n0``.
     The average is maintained recursively; no iterate history is stored.
 
+All three run through one kernel, :func:`absorb`, which absorbs a block of
+antenna rows into a :class:`ChainState` whose arrays may carry any leading
+batch shape (one entry per received vector). :func:`run_chain` calls it once
+without a batch axis, the chain simulator once per cluster over the block's
+resource elements, and the single-step functions (``rls_step``, ``sgd_step``,
+``asgd_step``) are the same arithmetic applied to one row. Every operation is
+chosen so that a batch element is rounded exactly as it would be alone: the
+state arrays are C-contiguous, each inner product is one BLAS dot over a
+contiguous K-vector (:func:`numpy.vecdot`), real scalings of complex vectors
+are exact in every loop, and complex products run as loops over the K axis
+(spelled out in real arithmetic when K = 1).
+
 No matrix is ever inverted explicitly: zero forcing goes through a
 least-squares factorization and RLS through the rank-one recursion.
 """
@@ -48,12 +60,14 @@ from .signal_model import ChannelMatrix, ReceivedVector
 __all__ = [
     "AsgdParams",
     "AsgdState",
+    "ChainState",
     "EstimateVector",
     "IllConditionedChannel",
     "RlsPrecomp",
     "RlsState",
     "SgdParams",
     "StepRecord",
+    "absorb",
     "asgd_step",
     "gamma_update",
     "rls_preprocess",
@@ -180,6 +194,30 @@ class AsgdState:
     n0: int
 
 
+@dataclass
+class ChainState:
+    """State of one recursive detector over a batch of received vectors.
+
+    ``s`` is the estimate, shape ``(..., K)``; ``n`` counts the antennas each
+    batch element has absorbed (an ``int`` without a batch axis, else an
+    integer array of the batch shape); ``x`` is the ASGD raw iterate, shaped
+    like ``s`` (``None`` for RLS and SGD). :func:`absorb` never writes into
+    these arrays.
+    """
+
+    s: np.ndarray
+    n: Union[int, np.ndarray] = 0
+    x: Optional[np.ndarray] = None
+
+    @classmethod
+    def start(cls, algorithm: str, s0: np.ndarray, batch_shape: tuple = ()) -> "ChainState":
+        """Every batch element at the prior ``s0`` (a K-vector), nothing absorbed."""
+        s = np.empty(tuple(batch_shape) + np.shape(s0), dtype=np.complex128)
+        s[...] = s0
+        n = np.zeros(batch_shape, dtype=np.int64) if batch_shape else 0
+        return cls(s=s, n=n, x=s.copy() if algorithm == "asgd" else None)
+
+
 def zf_detect(h: ChannelMatrix, y: Union[ReceivedVector, np.ndarray]) -> EstimateVector:
     """Zero-forcing detection via a least-squares factorization (no explicit inverse).
 
@@ -259,10 +297,126 @@ def rls_preprocess(
     return precomp
 
 
+def _k1_product(a, b: np.ndarray) -> np.ndarray:
+    """Complex product ``a * b`` spelled out in real arithmetic, for K = 1.
+
+    With K > 1 NumPy runs every product of the kernel as a loop over the K
+    axis, whatever the batch shape. With K = 1 that loop would run over the
+    batch instead, and NumPy's vectorised complex multiply fuses a
+    multiply-add where its scalar fallback does not, so the rounding would
+    follow the batch size. Real products and sums round the same in every
+    loop.
+    """
+    a = np.asarray(a)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _residual(v: np.ndarray, conj_rows: np.ndarray, y):
+    """Prediction errors ``y - rows^T v`` over the trailing K axis.
+
+    One BLAS dot product per element (:func:`numpy.vecdot` conjugates its
+    first argument, hence ``conj_rows``). On contiguous K-vectors its rounding
+    depends only on the two vectors, not on the batch around them.
+    """
+    return y - np.vecdot(conj_rows, v)
+
+
+def _correct(v: np.ndarray, coef, direction: np.ndarray) -> np.ndarray:
+    """``v + coef * direction``: one complex ``coef`` per batch element, a K-vector ``direction``."""
+    coef = coef[..., None] if coef.ndim else coef
+    return v + (coef * direction if len(direction) > 1 else _k1_product(coef, direction))
+
+
+def _average(s: np.ndarray, x: np.ndarray, count, n0: int) -> np.ndarray:
+    """ASGD output after ``count`` absorbed antennas.
+
+    The iterate ``x`` itself before the onset ``n0``, afterwards the running
+    mean of the iterates since ``n0``: ``s + (x - s) / (count - n0 + 1)``,
+    with the division done as a product with the real reciprocal.
+    """
+    if isinstance(count, int):
+        return x if count < n0 else s + (x - s) * (1.0 / (count - n0 + 1))
+    before = count < n0
+    if before.all():
+        return x
+    mean = s + (x - s) * (1.0 / np.maximum(count - n0 + 1, 1))[..., None]
+    return np.where(before[..., None], x, mean) if before.any() else mean
+
+
+def _step_sizes(params: SgdParams, counts):
+    """SGD step size for each batch element's next antenna (``counts`` is 1-based)."""
+    if params.mu is not None:
+        return params.mu
+    if isinstance(counts, int):
+        return params.step_size(counts)
+    values, inverse = np.unique(counts, return_inverse=True)
+    return np.array([params.step_size(int(v)) for v in values])[inverse.reshape(np.shape(counts))]
+
+
+_PARAM_TYPES = {"rls": RlsPrecomp, "sgd": SgdParams, "asgd": AsgdParams}
+
+
+def absorb(
+    algorithm: str,
+    state: ChainState,
+    rows,
+    ys,
+    params=None,
+    *,
+    trajectory: Optional[list] = None,
+) -> ChainState:
+    """Absorb a block of antenna rows, in chain order, into a detector state.
+
+    ``rows`` is ``(B, K)``. ``ys`` holds every batch element's observations
+    at those antennas: the batch shape of ``state`` plus ``(B,)``. ``params``
+    is an :class:`RlsPrecomp` whose gains cover exactly these rows (rls),
+    :class:`SgdParams` or :class:`AsgdParams`. SGD step sizes and the ASGD
+    onset follow each element's own absorbed count ``n``.
+
+    With ``trajectory`` (a list), the estimate after each antenna is appended
+    to it. Returns the new state.
+    """
+    s, x, n = np.ascontiguousarray(state.s), state.x, state.n
+    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    if rows.ndim != 2 or rows.shape[1] != s.shape[-1]:
+        raise ValueError(f"rows have shape {rows.shape}, expected (B, {s.shape[-1]})")
+    b = rows.shape[0]
+    ys = np.asarray(ys)
+    if ys.shape != s.shape[:-1] + (b,):
+        raise ValueError(f"observations have shape {ys.shape}, expected {s.shape[:-1] + (b,)}")
+    needs = _PARAM_TYPES.get(algorithm)
+    if needs is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+    if not isinstance(params, needs):
+        raise ValueError(f"{algorithm} needs {needs.__name__}")
+    if algorithm == "rls" and len(params) != b:
+        raise ValueError(f"precomp covers {len(params)} antennas, block has {b}")
+    # Per-antenna operands, split once: ys[i] holds the batch's observations at antenna i.
+    ys, conj_rows = list(np.moveaxis(ys, -1, 0)), list(rows.conj())
+    if algorithm == "rls":
+        alphas, zs = params.alphas.tolist(), list(np.ascontiguousarray(params.zs, dtype=np.complex128))
+    elif algorithm == "asgd":
+        x = np.ascontiguousarray(x)
+    for i, (conj_row, y) in enumerate(zip(conj_rows, ys)):
+        if algorithm == "rls":
+            s = _correct(s, alphas[i] * _residual(s, conj_row, y), zs[i])
+        elif algorithm == "sgd":
+            s = _correct(s, _step_sizes(params, n + i + 1) * _residual(s, conj_row, y), conj_row)
+        else:
+            x = _correct(x, params.mu * _residual(x, conj_row, y), conj_row)
+            s = _average(s, x, n + i + 1, params.n0)
+        if trajectory is not None:
+            trajectory.append(s)
+    return ChainState(s, n + b, x)
+
+
 def rls_step(prev: EstimateVector, row: np.ndarray, y_n: complex, alpha: float, z: np.ndarray) -> StepRecord:
     """One O(K) RLS update using a precomputed ``(alpha, z)`` gain pair."""
-    eps = y_n - row @ prev.values
-    after = prev.values + (alpha * eps) * z
+    eps = _residual(prev.values, row.conj(), y_n)
+    after = _correct(prev.values, alpha * eps, z)
     return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
 
 
@@ -290,8 +444,9 @@ def sgd_step(prev: EstimateVector, row: np.ndarray, y_n: complex, mu_n: float) -
     """
     if mu_n < 0:
         raise ValueError(f"step size must be >= 0, got {mu_n}")
-    eps = y_n - row @ prev.values
-    after = prev.values + (mu_n * eps) * row.conj()
+    conj_row = row.conj()
+    eps = _residual(prev.values, conj_row, y_n)
+    after = _correct(prev.values, mu_n * eps, conj_row)
     return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
 
 
@@ -305,15 +460,12 @@ def asgd_step(state: AsgdState, row: np.ndarray, y_n: complex, mu_n: float) -> A
     """
     if state.n0 < 1:
         raise ValueError(f"averaging onset must be >= 1, got {state.n0}")
-    eps = y_n - row @ state.x
-    x_next = state.x + (mu_n * eps) * row.conj()
-    n_next = state.n + 1
-    if n_next < state.n0:
+    conj_row = row.conj()
+    x_next = _correct(state.x, mu_n * _residual(state.x, conj_row, y_n), conj_row)
+    s_next = _average(state.s_avg, x_next, state.n + 1, state.n0)
+    if s_next is x_next:
         s_next = x_next.copy()
-    else:
-        n_prime = n_next - state.n0 + 1
-        s_next = state.s_avg + (x_next - state.s_avg) / n_prime
-    return AsgdState(x=x_next, s_avg=s_next, n=n_next, n0=state.n0)
+    return AsgdState(x=x_next, s_avg=s_next, n=state.n + 1, n0=state.n0)
 
 
 def _initial_estimate(k: int, s0) -> np.ndarray:
@@ -348,31 +500,9 @@ def run_chain(
     m, k = h.m_antennas, h.k_users
     if samples.shape != (m,):
         raise ValueError(f"received vector shape {samples.shape} does not match M={m}")
-    start = _initial_estimate(k, s0)
+    if algorithm == "rls" and params is None:
+        params = rls_preprocess(h.entries)
+    state = ChainState.start(algorithm, _initial_estimate(k, s0))
     trajectory = []
-
-    if algorithm == "rls":
-        precomp = params if params is not None else rls_preprocess(h.entries)
-        if len(precomp) != m:
-            raise ValueError(f"precomp covers {len(precomp)} antennas, channel has {m}")
-        estimate = EstimateVector(start, 0)
-        for n in range(m):
-            record = rls_step(estimate, h.row(n), samples[n], precomp.alphas[n], precomp.zs[n])
-            estimate = record.estimate_after
-            trajectory.append(estimate)
-    elif algorithm == "sgd":
-        if not isinstance(params, SgdParams):
-            raise ValueError("sgd needs SgdParams")
-        estimate = EstimateVector(start, 0)
-        for n in range(m):
-            record = sgd_step(estimate, h.row(n), samples[n], params.step_size(n + 1))
-            estimate = record.estimate_after
-            trajectory.append(estimate)
-    else:
-        if not isinstance(params, AsgdParams):
-            raise ValueError("asgd needs AsgdParams")
-        state = AsgdState(x=start.copy(), s_avg=start.copy(), n=0, n0=params.n0)
-        for n in range(m):
-            state = asgd_step(state, h.row(n), samples[n], params.step_size(n + 1))
-            trajectory.append(EstimateVector(state.s_avg, state.n))
-    return trajectory
+    absorb(algorithm, state, h.entries, samples, params, trajectory=trajectory)
+    return [EstimateVector(values, n) for n, values in enumerate(trajectory, start=1)]

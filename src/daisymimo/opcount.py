@@ -1,10 +1,11 @@
 """Instrumented twins of the detector kernels that tally complex multiplications.
 
 Complexity is accounted in complex-by-complex multiplications only: real-scalar
-scalings, additions and divisions are free. Each counted function repeats the
-production kernel's arithmetic expression for expression, so outputs are
-bit-identical to the uncounted versions; tests rely on that to know the counts
-describe the real code path.
+scalings, additions and divisions are free. The counted steps call the same
+arithmetic helpers as :func:`daisymimo.detectors.absorb`, and the counted
+gamma update repeats :func:`daisymimo.detectors.gamma_update` expression for
+expression, so outputs are bit-identical to the uncounted versions; tests rely
+on that to know the counts describe the real code path.
 
 Per step the budget is 2K (prediction error K, estimate correction K); per
 preprocessing antenna it is 2K^2 + K (surrogate matvec K^2, quadratic form K,
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import AsgdState, EstimateVector, StepRecord
+from .detectors import AsgdState, EstimateVector, StepRecord, _average, _correct, _residual
 
 __all__ = [
     "OpCounter",
@@ -37,33 +38,32 @@ class OpCounter:
 
 
 def counted_sgd_step(prev: EstimateVector, row, y_n, mu_n, counter: OpCounter) -> StepRecord:
+    conj_row = row.conj()
     counter.add(row.size)  # h^T s
-    eps = y_n - row @ prev.values
+    eps = _residual(prev.values, conj_row, y_n)
     counter.add(row.size)  # (mu eps) conj(h); mu eps itself is a real scaling
-    after = prev.values + (mu_n * eps) * row.conj()
+    after = _correct(prev.values, mu_n * eps, conj_row)
     return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
 
 
 def counted_rls_step(prev: EstimateVector, row, y_n, alpha, z, counter: OpCounter) -> StepRecord:
     counter.add(row.size)  # h^T s
-    eps = y_n - row @ prev.values
+    eps = _residual(prev.values, row.conj(), y_n)
     counter.add(z.size)  # (alpha eps) z; alpha is real
-    after = prev.values + (alpha * eps) * z
+    after = _correct(prev.values, alpha * eps, z)
     return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
 
 
 def counted_asgd_step(state: AsgdState, row, y_n, mu_n, counter: OpCounter) -> AsgdState:
+    conj_row = row.conj()
     counter.add(row.size)  # h^T x
-    eps = y_n - row @ state.x
+    eps = _residual(state.x, conj_row, y_n)
     counter.add(row.size)  # (mu eps) conj(h)
-    x_next = state.x + (mu_n * eps) * row.conj()
-    n_next = state.n + 1
-    if n_next < state.n0:
+    x_next = _correct(state.x, mu_n * eps, conj_row)
+    s_next = _average(state.s_avg, x_next, state.n + 1, state.n0)  # real scalings only
+    if s_next is x_next:
         s_next = x_next.copy()
-    else:
-        n_prime = n_next - state.n0 + 1
-        s_next = state.s_avg + (x_next - state.s_avg) / n_prime
-    return AsgdState(x=x_next, s_avg=s_next, n=n_next, n0=state.n0)
+    return AsgdState(x=x_next, s_avg=s_next, n=state.n + 1, n0=state.n0)
 
 
 def counted_gamma_update(gamma, row, counter: OpCounter):

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daisymimo import chain_sim, detectors, signal_model
 from daisymimo.chain_sim import (
@@ -13,7 +15,6 @@ from daisymimo.chain_sim import (
     PowerSavePolicy,
     TokenMessage,
     TopologyConfig,
-    apply_power_save,
     build_chain,
     extend_chain,
     simulate_slot,
@@ -190,7 +191,7 @@ class TestPowerSave:
         m, k, n_re, c = 16, 2, 3, 4
         h, batch = _instance(m, k, n_re, seed=seed)
         chain = build_chain(TopologyConfig.from_clusters(m, k, c), h)
-        ps = apply_power_save(policy, threshold) if policy else None
+        ps = PowerSavePolicy(policy, threshold) if policy else None
         log = []
         outputs, report = simulate_slot(
             chain, algorithm, batch, params=_params(algorithm), power_save=ps, message_log=log
@@ -252,9 +253,9 @@ class TestPowerSave:
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            apply_power_save("pause", 0.1)
+            PowerSavePolicy("pause", 0.1)
         with pytest.raises(ValueError):
-            apply_power_save("freeze", -1.0)
+            PowerSavePolicy("freeze", -1.0)
 
     def test_asgd_probe_uses_raw_iterate(self):
         # With s0 = exact solution the ASGD raw iterate stays put, so the probe
@@ -321,3 +322,145 @@ class TestTimelineCsv:
             assert len(row) == 5
             int_row = [int(v) for v in row]
             assert int_row[3] >= int_row[2]
+
+
+# Recorded from the token-by-token simulator this one replaced: entry order,
+# ticks and skip flags of a small RLS slot with freeze power save.
+GOLDEN_TIMELINE = (
+    "cluster_id,re_id,start_tick,end_tick,skipped_flag\r\n"
+    "0,-1,0,2,0\r\n"
+    "0,0,2,4,0\r\n"
+    "0,1,4,6,0\r\n"
+    "0,2,6,8,0\r\n"
+    "0,3,8,10,0\r\n"
+    "1,-1,2,4,0\r\n"
+    "1,0,4,6,1\r\n"
+    "2,-1,4,6,0\r\n"
+    "1,1,6,8,0\r\n"
+    "2,0,6,8,0\r\n"
+    "1,2,8,10,1\r\n"
+    "2,1,8,10,1\r\n"
+    "1,3,10,12,1\r\n"
+    "2,2,10,12,1\r\n"
+    "2,3,12,14,0\r\n"
+)
+
+
+class TestGoldenTimeline:
+    def test_csv_is_pinned_byte_for_byte(self, tmp_path):
+        h, batch = _instance(12, 3, 4, seed=17)
+        chain = build_chain(TopologyConfig.from_clusters(12, 3, 3), h)
+        _, report = simulate_slot(
+            chain, "rls", batch,
+            power_save=PowerSavePolicy("freeze", 2.5),
+            cost=CostModel(re_ticks=2, prep_ticks=2),
+        )
+        path = tmp_path / "timeline.csv"
+        report.to_csv(path)
+        assert path.read_bytes() == GOLDEN_TIMELINE.encode()
+        assert report.skipped_steps == 5
+        assert (report.pipeline_delay, report.total_ticks) == (4, 14)
+
+
+class TestChainReuse:
+    @pytest.mark.parametrize("algorithm", ["rls", "sgd", "asgd"])
+    def test_one_chain_serves_many_batches(self, algorithm):
+        m, k = 16, 3
+        h, batch_a = _instance(m, k, 5, seed=18)
+        _, batch_b = _instance(m, k, 3, seed=19)
+        topology = TopologyConfig.from_clusters(m, k, 4)
+        policy = PowerSavePolicy("early_exit", 1.5)
+        chain = build_chain(topology, h)
+        before = [dataclasses.replace(node, local_csi=node.local_csi.copy()) for node in chain]
+        for batch in (batch_a, batch_b, batch_a):
+            reused = simulate_slot(chain, algorithm, batch, params=_params(algorithm), power_save=policy)
+            fresh = simulate_slot(build_chain(topology, h), algorithm, batch, params=_params(algorithm), power_save=policy)
+            for a, b in zip(reused[0], fresh[0]):
+                np.testing.assert_array_equal(a.values, b.values)
+                assert a.antenna_index == b.antenna_index
+            assert reused[1].entries == fresh[1].entries
+        for node, kept in zip(chain, before):
+            assert {f.name for f in dataclasses.fields(node)} == {"cluster_id", "local_csi"}
+            assert vars(node).keys() == vars(kept).keys()
+            assert node.cluster_id == kept.cluster_id
+            np.testing.assert_array_equal(node.local_csi, kept.local_csi)
+
+
+def _kept_antennas(report, n_re, b):
+    """Per RE, the antennas of the clusters that processed it, in chain order."""
+    kept = [[] for _ in range(n_re)]
+    for e in sorted(report.entries, key=lambda e: e.cluster_id):
+        if e.re_id >= 0 and not e.skipped:
+            kept[e.re_id].extend(range(e.cluster_id * b, (e.cluster_id + 1) * b))
+    return [np.array(rows, dtype=int) for rows in kept]
+
+
+def _replay(algorithm, h, y, rows, params, gains):
+    """The estimate from only the antennas ``rows``: run_chain when they can form a channel."""
+    k = h.k_users
+    if algorithm == "rls":
+        params = detectors.RlsPrecomp(alphas=gains.alphas[rows], zs=gains.zs[rows], gamma_final=gains.gamma_final)
+    if len(rows) >= k:
+        return detectors.run_chain(algorithm, signal_model.ChannelMatrix(h.entries[rows]), y[rows], params)[-1]
+    # Fewer rows than users: no ChannelMatrix, so step through the same arithmetic.
+    estimate = detectors.EstimateVector(np.zeros(k, complex), 0)
+    state = detectors.AsgdState(np.zeros(k, complex), np.zeros(k, complex), 0, n0=getattr(params, "n0", 1))
+    for i, n in enumerate(rows):
+        if algorithm == "rls":
+            estimate = detectors.rls_step(estimate, h.entries[n], y[n], params.alphas[i], params.zs[i]).estimate_after
+        elif algorithm == "sgd":
+            estimate = detectors.sgd_step(estimate, h.entries[n], y[n], params.step_size(i + 1)).estimate_after
+        else:
+            state = detectors.asgd_step(state, h.entries[n], y[n], params.mu)
+            estimate = detectors.EstimateVector(state.s_avg, state.n)
+    return estimate
+
+
+@st.composite
+def _slots(draw):
+    k = draw(st.integers(1, 64))
+    b = draw(st.integers(1, 8))
+    c = draw(st.integers(-(-k // b), -(-k // b) + 3))
+    algorithm = draw(st.sampled_from(["rls", "sgd", "asgd"]))
+    params = {
+        "rls": None,
+        "sgd": draw(st.sampled_from([SgdParams(mu=0.3 / k), SgdParams(schedule=lambda n: 1.0 / (n + 4))])),
+        "asgd": AsgdParams(mu=0.3 / k, n0=draw(st.integers(1, 2 * b + 1))),
+    }[algorithm]
+    mode = draw(st.sampled_from([None, "freeze", "early_exit"]))
+    policy = None if mode is None else PowerSavePolicy(mode, draw(st.floats(0.0, 4.0)))
+    return k, b, c, draw(st.integers(1, 50)), algorithm, params, policy, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSlotBatchInvariance:
+    @given(case=_slots())
+    @settings(max_examples=60, deadline=None)
+    def test_outputs_equal_run_chain_over_processed_antennas(self, case):
+        k, b, c, n_re, algorithm, params, policy, seed = case
+        h, batch = _instance(b * c, k, n_re, seed)
+        chain = build_chain(TopologyConfig.from_clusters(b * c, k, c), h)
+        outputs, report = simulate_slot(chain, algorithm, batch, params=params, power_save=policy)
+        gains = detectors.rls_preprocess(h.entries)
+        for r, rows in enumerate(_kept_antennas(report, n_re, b)):
+            expected = _replay(algorithm, h, batch[r], rows, params, gains)
+            assert outputs[r].antenna_index == len(rows)
+            assert outputs[r].values.tobytes() == expected.values.tobytes()
+
+    @given(case=_slots(), pick=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_outputs_do_not_depend_on_batch_companions(self, case, pick):
+        k, b, c, n_re, algorithm, params, policy, seed = case
+        h, batch = _instance(b * c, k, n_re, seed)
+        chain = build_chain(TopologyConfig.from_clusters(b * c, k, c), h)
+        outputs, report = simulate_slot(chain, algorithm, batch, params=params, power_save=policy)
+        subset = pick.sample(range(n_re), pick.randint(1, n_re))
+        sub_outputs, sub_report = simulate_slot(
+            chain, algorithm, [batch[r] for r in subset], params=params, power_save=policy
+        )
+        flags = {(e.cluster_id, e.re_id): e.skipped for e in report.entries}
+        for j, r in enumerate(subset):
+            assert sub_outputs[j].values.tobytes() == outputs[r].values.tobytes()
+            for cl in range(c):
+                assert flags[(cl, r)] == next(
+                    e.skipped for e in sub_report.entries if e.cluster_id == cl and e.re_id == j
+                )
