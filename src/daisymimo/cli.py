@@ -37,7 +37,10 @@ def _load(args, kind: str):
         overrides["master_seed"] = args.seed
     if getattr(args, "trials", None) is not None:
         overrides["trials"] = args.trials
-    return replace(spec, **overrides) if overrides else spec
+    try:
+        return replace(spec, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_outputs(result, out_dir: str, wall_time: float) -> None:

@@ -36,10 +36,11 @@ All three run through one kernel, :func:`absorb`, which absorbs a block of
 antenna rows into a :class:`ChainState` whose arrays may carry any leading
 batch shape (one entry per received vector). :func:`run_chain` calls it once
 without a batch axis, the chain simulator once per cluster over the block's
-resource elements, and the single-step functions (``rls_step``, ``sgd_step``,
-``asgd_step``) are the same arithmetic applied to one row. Every operation is
-chosen so that a batch element is rounded exactly as it would be alone: the
-state arrays are C-contiguous, each inner product is one BLAS dot over a
+resource elements (one shared channel), the Monte Carlo sweeps once per chunk
+of trials (one channel per trial), and the single-step functions
+(``rls_step``, ``sgd_step``, ``asgd_step``) are the same arithmetic applied to
+one row. Every operation is chosen so that a batch element is rounded exactly
+as it would be alone: the state arrays are C-contiguous, each inner product is one BLAS dot over a
 contiguous K-vector (:func:`numpy.vecdot`), real scalings of complex vectors
 are exact in every loop, and complex products run as loops over the K axis
 (spelled out in real arithmetic when K = 1).
@@ -129,8 +130,10 @@ class RlsPrecomp:
     """Per-antenna RLS gains for one coherence block.
 
     ``alphas[n]`` is the real scalar gain and ``zs[n]`` the K-vector direction
-    for antenna ``n``; ``gamma_final`` is the surrogate matrix after absorbing
-    every row, kept for diagnostics and for chaining blocks of antennas.
+    for antenna ``n`` (one of each per channel when :func:`rls_preprocess`
+    ran over a batch of channels); ``gamma_final`` is the surrogate matrix
+    after absorbing every row, kept for diagnostics and for chaining blocks of
+    antennas.
     """
 
     alphas: np.ndarray
@@ -199,10 +202,10 @@ class ChainState:
     """State of one recursive detector over a batch of received vectors.
 
     ``s`` is the estimate, shape ``(..., K)``; ``n`` counts the antennas each
-    batch element has absorbed (an ``int`` without a batch axis, else an
-    integer array of the batch shape); ``x`` is the ASGD raw iterate, shaped
-    like ``s`` (``None`` for RLS and SGD). :func:`absorb` never writes into
-    these arrays.
+    batch element has absorbed (an ``int`` when it is the same for all of
+    them, else an integer array of the batch shape); ``x`` is the ASGD raw
+    iterate, shaped like ``s`` (``None`` for RLS and SGD). :func:`absorb`
+    never writes into these arrays.
     """
 
     s: np.ndarray
@@ -211,7 +214,13 @@ class ChainState:
 
     @classmethod
     def start(cls, algorithm: str, s0: np.ndarray, batch_shape: tuple = ()) -> "ChainState":
-        """Every batch element at the prior ``s0`` (a K-vector), nothing absorbed."""
+        """Every batch element at the prior ``s0``, nothing absorbed.
+
+        ``s0`` is a K-vector shared by the ``batch_shape`` elements, or already
+        carries its batch axes, ``(..., K)``, one prior per element; with an
+        empty ``batch_shape`` the count ``n`` is then one ``int`` for all of
+        them.
+        """
         s = np.empty(tuple(batch_shape) + np.shape(s0), dtype=np.complex128)
         s[...] = s0
         n = np.zeros(batch_shape, dtype=np.int64) if batch_shape else 0
@@ -246,13 +255,20 @@ def gamma_update(gamma: np.ndarray, row: np.ndarray):
     the quadratic form ``row @ z`` is real positive, so ``alpha`` lies in
     (0, 1]; the (float-noise) imaginary part is dropped. ``gamma_next`` is
     re-symmetrized to keep drift over many rank-one updates bounded.
+
+    ``gamma`` may carry leading batch axes, ``(..., K, K)``, with ``row`` of
+    shape ``(..., K)``: one independent recursion per batch element. Each
+    element is rounded as it would be alone (one BLAS matrix-vector product
+    and one BLAS dot per element, elementwise products otherwise).
     """
-    z = gamma @ row.conj()
-    quad = row @ z
-    alpha = 1.0 / (1.0 + quad.real)
-    gamma_next = gamma - (alpha * z)[:, None] * z.conj()[None, :]
-    gamma_next = 0.5 * (gamma_next + gamma_next.conj().T)
-    if not (np.isfinite(alpha) and np.isfinite(gamma_next).all()):
+    conj_row = row.conj()
+    z = np.matvec(gamma, conj_row)
+    alpha = 1.0 / (1.0 + np.vecdot(conj_row, z).real)
+    gamma_next = gamma - (alpha[..., None] * z)[..., :, None] * z.conj()[..., None, :]
+    gamma_next = 0.5 * (gamma_next + gamma_next.conj().mT)
+    # A non-finite alpha needs z != 0 and then spreads into gamma_next (at
+    # least its diagonal entry for a nonzero z_i), so one check covers both.
+    if not np.isfinite(gamma_next).all():
         raise ValueError("non-finite values in gamma recursion")
     return alpha, z, gamma_next
 
@@ -271,19 +287,29 @@ def rls_preprocess(
     ``(alpha, z)`` pairs. Cost is O(K^2) per antenna; afterwards every resource
     element of the block reuses the stored gains at O(K) per antenna.
 
+    ``rows`` is ``(M, K)``, or ``(M, ..., K)`` for a batch of independent
+    channels stored antenna-major (``rows[n]`` holds antenna ``n``'s row of
+    every channel); the gains then carry the same batch axes after the
+    antenna axis (``alphas`` ``(M, ...)``, ``zs`` ``(M, ..., K)``, and
+    ``gamma_final`` ``(..., K, K)``).
+
     Returns an :class:`RlsPrecomp`, or ``(RlsPrecomp, gamma_history)`` when
     ``keep_gamma_history`` is set (history[n] is gamma after row ``n``).
     """
     rows = getattr(rows, "entries", rows)
     rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2:
-        raise ValueError(f"rows must form a 2-D array, got shape {rows.shape}")
-    if k is not None and rows.shape[1] != k:
-        raise ValueError(f"rows have length {rows.shape[1]}, expected K={k}")
-    m, k = rows.shape
-    gamma = np.eye(k, dtype=np.complex128) if gamma0 is None else np.asarray(gamma0, dtype=np.complex128)
-    alphas = np.empty(m)
-    zs = np.empty((m, k), dtype=np.complex128)
+    if rows.ndim < 2:
+        raise ValueError(f"rows must have an antenna axis and a K axis, got shape {rows.shape}")
+    if k is not None and rows.shape[-1] != k:
+        raise ValueError(f"rows have length {rows.shape[-1]}, expected K={k}")
+    m, batch, k = rows.shape[0], rows.shape[1:-1], rows.shape[-1]
+    if gamma0 is None:
+        gamma = np.empty(batch + (k, k), dtype=np.complex128)
+        gamma[...] = np.eye(k)
+    else:
+        gamma = np.asarray(gamma0, dtype=np.complex128)
+    alphas = np.empty((m,) + batch)
+    zs = np.empty(rows.shape, dtype=np.complex128)
     history = []
     for n in range(m):
         alpha, z, gamma = gamma_update(gamma, rows[n])
@@ -325,9 +351,12 @@ def _residual(v: np.ndarray, conj_rows: np.ndarray, y):
 
 
 def _correct(v: np.ndarray, coef, direction: np.ndarray) -> np.ndarray:
-    """``v + coef * direction``: one complex ``coef`` per batch element, a K-vector ``direction``."""
+    """``v + coef * direction``: one complex ``coef`` per batch element.
+
+    ``direction`` is one K-vector for the whole batch, or one per element.
+    """
     coef = coef[..., None] if coef.ndim else coef
-    return v + (coef * direction if len(direction) > 1 else _k1_product(coef, direction))
+    return v + (coef * direction if direction.shape[-1] > 1 else _k1_product(coef, direction))
 
 
 def _average(s: np.ndarray, x: np.ndarray, count, n0: int) -> np.ndarray:
@@ -370,19 +399,23 @@ def absorb(
 ) -> ChainState:
     """Absorb a block of antenna rows, in chain order, into a detector state.
 
-    ``rows`` is ``(B, K)``. ``ys`` holds every batch element's observations
-    at those antennas: the batch shape of ``state`` plus ``(B,)``. ``params``
-    is an :class:`RlsPrecomp` whose gains cover exactly these rows (rls),
-    :class:`SgdParams` or :class:`AsgdParams`. SGD step sizes and the ASGD
-    onset follow each element's own absorbed count ``n``.
+    ``rows`` is ``(B, K)`` when every batch element sees the same channel
+    (the REs of a coherence block), or ``(B,) + state.s.shape`` when each
+    has its own (independent trials), stored antenna-major so that
+    ``rows[i]`` is one contiguous block. ``ys`` holds every batch element's
+    observations at those antennas: the batch shape of ``state`` plus
+    ``(B,)``. ``params`` is an :class:`RlsPrecomp` whose gains cover exactly
+    these rows, batched like them (rls), :class:`SgdParams` or
+    :class:`AsgdParams`. SGD step sizes and the ASGD onset follow each
+    element's own absorbed count ``n``.
 
     With ``trajectory`` (a list), the estimate after each antenna is appended
     to it. Returns the new state.
     """
     s, x, n = np.ascontiguousarray(state.s), state.x, state.n
     rows = np.ascontiguousarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or rows.shape[1] != s.shape[-1]:
-        raise ValueError(f"rows have shape {rows.shape}, expected (B, {s.shape[-1]})")
+    if rows.ndim < 2 or rows.shape[1:] not in (s.shape[-1:], s.shape):
+        raise ValueError(f"rows have shape {rows.shape}, expected (B, {s.shape[-1]}) or (B,) + {s.shape}")
     b = rows.shape[0]
     ys = np.asarray(ys)
     if ys.shape != s.shape[:-1] + (b,):
@@ -397,7 +430,8 @@ def absorb(
     # Per-antenna operands, split once: ys[i] holds the batch's observations at antenna i.
     ys, conj_rows = list(np.moveaxis(ys, -1, 0)), list(rows.conj())
     if algorithm == "rls":
-        alphas, zs = params.alphas.tolist(), list(np.ascontiguousarray(params.zs, dtype=np.complex128))
+        alphas = list(np.asarray(params.alphas, dtype=float))
+        zs = list(np.ascontiguousarray(params.zs, dtype=np.complex128))
     elif algorithm == "asgd":
         x = np.ascontiguousarray(x)
     for i, (conj_row, y) in enumerate(zip(conj_rows, ys)):

@@ -6,6 +6,22 @@ single master seed. Per-trial seeds are derived deterministically from
 so results are bit-reproducible and trials could be farmed out in any order
 without changing the outcome (sums are reduced in trial order).
 
+The MSE and BER sweeps run their trials in chunks. A chunk draws each of its
+trials from that trial's own seeds, stacks the channels antenna-major
+``(M, T, K)``, and runs every recursive detector over the whole chunk with one
+kernel call (:func:`detectors.absorb`, with the RLS gains from one batched
+:func:`detectors.rls_preprocess`), so the per-antenna Python loop runs once
+per chunk instead of once per trial. Zero forcing stays per trial. Chunk
+sizes follow from a byte budget on the channel rows (and a cap of a few dozen
+trials), so a sweep's working set does not grow with its trial count.
+
+Results do not depend on the chunk size, bit for bit: the kernel rounds every
+batch element exactly as it would round that trial alone, and the reduction
+is done per trial in trial order, as a one-trial-at-a-time loop would. A BER
+point stops after the first trial at which every algorithm has reached the
+error target; the trials a chunk computed past that point are dropped, so
+the recorded trial and error counts are those of the trial-by-trial rule.
+
 Outputs are :class:`ResultSet` objects: one curve per algorithm, each point
 carrying mean, standard error and trial count, plus the full provenance
 (spec echo, seed, tool version) needed to regenerate them.
@@ -63,6 +79,7 @@ class AlgorithmSpec:
             raise ValueError("asgd needs an averaging onset n0")
         if self.name in ("rls", "zf") and (self.mu is not None or self.n0 is not None):
             raise ValueError(f"{self.name} takes no mu/n0 parameters")
+        self.detector_params()  # the detectors' own range checks on mu and n0
 
     @property
     def label(self) -> str:
@@ -86,6 +103,12 @@ class AlgorithmSpec:
         if self.n0 is not None:
             out["n0"] = self.n0
         return out
+
+
+_INT_FIELD_MINIMA = (
+    ("trials", 1), ("target_errors", 1), ("max_trials_per_point", 1), ("re_count", 1),
+    ("re_ticks", 1), ("prep_ticks", 0), ("master_seed", 0),
+)
 
 
 @dataclass(frozen=True)
@@ -113,20 +136,25 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; expected one of {EXPERIMENT_KINDS}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name, low in _INT_FIELD_MINIMA:
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.constellation_order not in signal_model.QAM_ORDERS:
+            raise ValueError(
+                f"unsupported constellation order {self.constellation_order}; pick one of {signal_model.QAM_ORDERS}"
+            )
         if self.s0_mode not in ("zero", "random"):
             raise ValueError(f"unknown s0_mode {self.s0_mode!r}")
         if self.kind != "rate_table":
             if self.topology is None:
                 raise ValueError(f"{self.kind} needs a topology")
+            if not 1 <= self.topology.k_users <= self.topology.m_antennas:
+                raise ValueError(f"need M >= K >= 1, got M={self.topology.m_antennas}, K={self.topology.k_users}")
             if not self.algorithms:
                 raise ValueError(f"{self.kind} needs at least one algorithm")
         if self.kind == "ber_sweep" and not self.snr_db_grid:
             raise ValueError("ber_sweep needs a non-empty snr_db_grid")
         if self.kind == "simulate":
-            if self.re_count < 1:
-                raise ValueError("re_count must be >= 1")
             for alg in self.algorithms:
                 if alg.name == "zf":
                     raise ValueError("zf is not a chain algorithm; simulate takes rls/sgd/asgd")
@@ -244,9 +272,10 @@ def derive_seeds(master_seed: int, path: tuple, count: int) -> list:
     return [int(x) for x in ss.generate_state(count, dtype=np.uint64)]
 
 
-def _random_bits(n: int, seed: int) -> str:
-    rng = np.random.default_rng(seed)
-    return "".join("01"[b] for b in rng.integers(0, 2, n))
+def _random_points(const: Constellation, k: int, seed: int) -> np.ndarray:
+    """Point indices of K symbols carrying fresh random bits (one trial's bit draw)."""
+    bits = np.random.default_rng(seed).integers(0, 2, k * const.bits_per_symbol)
+    return const.point_indices(bits)
 
 
 def _initial_estimate(spec: ExperimentSpec, k: int, seed: int):
@@ -267,6 +296,123 @@ def _mean_stderr(total: np.ndarray, total_sq: np.ndarray, n: int):
 # Experiment tags keep the seed streams of the different kinds disjoint.
 _TAG_MSE, _TAG_BER, _TAG_SIM = 1, 2, 3
 
+# Chunk limits. The channel rows of a chunk of trials may take at most
+# _CHUNK_ROW_BYTES; its other arrays (observations, RLS gains, a block of
+# trajectory) scale with them, so this bounds a sweep's working set whatever
+# its trial count (32 trials at M=256, K=16; 4 at M=2048). _CHUNK_MAX_TRIALS
+# bounds the trials a BER point may compute past its early stop when channels
+# are small; beyond a few dozen trials batching saves nothing more.
+_CHUNK_ROW_BYTES = 2**21
+_CHUNK_MAX_TRIALS = 32
+
+
+def _chunks(n_trials: int, m: int, k: int) -> list:
+    """Consecutive trial ranges covering ``n_trials``, as equal as the chunk limits allow."""
+    row_bytes = m * k * np.dtype(np.complex128).itemsize
+    cap = max(1, min(_CHUNK_MAX_TRIALS, _CHUNK_ROW_BYTES // row_bytes))
+    size = -(-n_trials // -(-n_trials // cap))
+    return [range(start, min(start + size, n_trials)) for start in range(0, n_trials, size)]
+
+
+@dataclass(frozen=True)
+class _Trials:
+    """One chunk of independent trials, stacked for the batched kernel."""
+
+    rows: np.ndarray  # (M, T, K) channels, antenna-major: rows[n] is one contiguous block
+    ys: np.ndarray  # (T, M) observations
+    sent: np.ndarray  # (T, K) transmitted point indices
+    symbols: np.ndarray  # (T, K) transmitted symbols
+    s0: np.ndarray  # (T, K) priors
+    gains: Optional[detectors.RlsPrecomp]  # the chunk's RLS gains, when an algorithm needs them
+
+    def params(self, alg: AlgorithmSpec):
+        return self.gains if alg.name == "rls" else alg.detector_params()
+
+
+def _draw_trials(spec: ExperimentSpec, const: Constellation, path: tuple, trials: range, snr_db: float) -> _Trials:
+    """Draw the trials of one chunk, each from its own seeds ``derive_seeds(master, path + (t,))``.
+
+    Also runs the channel-only RLS preprocessing over the whole chunk.
+    """
+    m, k = spec.topology.m_antennas, spec.topology.k_users
+    rows = np.empty((m, len(trials), k), dtype=np.complex128)
+    ys = np.empty((len(trials), m), dtype=np.complex128)
+    sent = np.empty((len(trials), k), dtype=np.intp)
+    s0 = np.zeros((len(trials), k), dtype=np.complex128)
+    for i, t in enumerate(trials):
+        ch_seed, bits_seed, noise_seed, s0_seed = derive_seeds(spec.master_seed, path + (t,), 4)
+        h = signal_model.generate_rayleigh_channel(m, k, ch_seed)
+        sent[i] = _random_points(const, k, bits_seed)
+        ys[i] = signal_model.transmit(h, const.points[sent[i]], snr_db, noise_seed).samples
+        rows[:, i] = h.entries
+        prior = _initial_estimate(spec, k, s0_seed)
+        if prior is not None:
+            s0[i] = prior
+    gains = detectors.rls_preprocess(rows) if any(a.name == "rls" for a in spec.algorithms) else None
+    return _Trials(rows=rows, ys=ys, sent=sent, symbols=const.points[sent], s0=s0, gains=gains)
+
+
+def _estimates(alg: AlgorithmSpec, trials: _Trials) -> np.ndarray:
+    """Final ``(T, K)`` estimates of one algorithm on a chunk; ZF runs trial by trial."""
+    if alg.name == "zf":
+        channels = (signal_model.ChannelMatrix(trials.rows[:, t]) for t in range(len(trials.ys)))
+        return np.array([detectors.zf_detect(h, y).values for h, y in zip(channels, trials.ys)])
+    state = detectors.ChainState.start(alg.name, trials.s0)
+    return detectors.absorb(alg.name, state, trials.rows, trials.ys, trials.params(alg)).s
+
+
+# Antennas per kernel call in the MSE sweep. Each block's trajectory is
+# reduced to squared errors before the next block runs, so a chunk never
+# holds more than this many of its (T, K) estimates.
+_TRAJECTORY_BLOCK = 32
+
+
+def _squared_errors(alg: AlgorithmSpec, trials: _Trials) -> np.ndarray:
+    """Per-antenna squared errors ``||s_hat[n] - s||^2 / K`` of every trial of a chunk, ``(M, T)``."""
+    m, k = trials.rows.shape[0], trials.rows.shape[-1]
+    params = trials.params(alg)
+    state = detectors.ChainState.start(alg.name, trials.s0)
+    out = np.empty((m, len(trials.ys)))
+    for lo in range(0, m, _TRAJECTORY_BLOCK):
+        block = slice(lo, lo + _TRAJECTORY_BLOCK)
+        if alg.name == "rls":
+            gains = trials.gains
+            params = detectors.RlsPrecomp(gains.alphas[block], gains.zs[block], gains.gamma_final)
+        trajectory = []
+        state = detectors.absorb(
+            alg.name, state, trials.rows[block], trials.ys[:, block], params, trajectory=trajectory
+        )
+        out[block] = (np.abs(np.stack(trajectory) - trials.symbols) ** 2).sum(axis=-1) / k
+    return out
+
+
+def _mse_chunk(spec: ExperimentSpec, const: Constellation, chunk: range) -> dict:
+    """Every algorithm's squared errors on one chunk: ``(T, M)`` per antenna index, ``(T,)`` for ZF.
+
+    The chunk's channels and gains die when this returns, before the next
+    chunk is drawn.
+    """
+    trials = _draw_trials(spec, const, (_TAG_MSE,), chunk, spec.snr_db)
+    out = {}
+    for alg in spec.algorithms:
+        if alg.name == "zf":
+            est = _estimates(alg, trials)
+            out[alg.label] = np.sum(np.abs(est - trials.symbols) ** 2, axis=-1) / est.shape[-1]
+        else:
+            out[alg.label] = _squared_errors(alg, trials).T
+    return out
+
+
+def _ber_chunk(spec: ExperimentSpec, const: Constellation, j: int, chunk: range) -> dict:
+    """Every algorithm's bit errors per trial, ``(T,)``, on one chunk of SNR point ``j``."""
+    trials = _draw_trials(spec, const, (_TAG_BER, j), chunk, spec.snr_db_grid[j])
+    bit_errors = const.bit_distances()
+    counts = {}
+    for alg in spec.algorithms:
+        decided = signal_model.hard_decisions(_estimates(alg, trials), const)
+        counts[alg.label] = bit_errors[trials.sent, decided].sum(axis=-1)
+    return counts
+
 
 def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
     """Average per-antenna-index MSE curves, one per configured algorithm.
@@ -281,7 +427,6 @@ def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
     topo = spec.topology
     m, k = topo.m_antennas, topo.k_users
     const = Constellation.qam(spec.constellation_order)
-    bits_per_vector = k * const.bits_per_symbol
 
     chain_algs = [a for a in spec.algorithms if a.name != "zf"]
     zf_algs = [a for a in spec.algorithms if a.name == "zf"]
@@ -289,26 +434,16 @@ def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
     totals_sq = {a.label: np.zeros(m) for a in chain_algs}
     zf_total = zf_total_sq = 0.0
 
-    for t in range(spec.trials):
-        ch_seed, bits_seed, noise_seed, s0_seed = derive_seeds(
-            spec.master_seed, (_TAG_MSE, t), 4
-        )
-        h = signal_model.generate_rayleigh_channel(m, k, ch_seed)
-        s = signal_model.modulate(_random_bits(bits_per_vector, bits_seed), const, k)
-        y = signal_model.transmit(h, s, spec.snr_db, noise_seed)
-        s0 = _initial_estimate(spec, k, s0_seed)
+    for chunk in _chunks(spec.trials, m, k):
+        errors = _mse_chunk(spec, const, chunk)
         for alg in chain_algs:
-            traj = detectors.run_chain(alg.name, h, y, alg.detector_params(), s0=s0)
-            stacked = np.stack([e.values for e in traj])
-            sq = np.abs(stacked - s.symbols[None, :]) ** 2
-            per_index = sq.sum(axis=1) / k
-            totals[alg.label] += per_index
-            totals_sq[alg.label] += per_index**2
-        if zf_algs:
-            est = detectors.zf_detect(h, y)
-            mse = float(np.sum(np.abs(est.values - s.symbols) ** 2) / k)
-            zf_total += mse
-            zf_total_sq += mse**2
+            for trial_errors in errors[alg.label]:
+                totals[alg.label] += trial_errors
+                totals_sq[alg.label] += trial_errors**2
+        for alg in zf_algs:
+            for mse in errors[alg.label].tolist():
+                zf_total += mse
+                zf_total_sq += mse**2
 
     curves = []
     for alg in chain_algs:
@@ -327,10 +462,6 @@ def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
             )
         )
     return ResultSet(curves=tuple(curves), spec=spec)
-
-
-def _bit_errors(sent: str, received: str) -> int:
-    return sum(a != b for a, b in zip(sent, received))
 
 
 def run_ber_sweep(spec: ExperimentSpec) -> ResultSet:
@@ -353,37 +484,24 @@ def run_ber_sweep(spec: ExperimentSpec) -> ResultSet:
         errors = {a.label: 0 for a in spec.algorithms}
         frac_sum = {a.label: 0.0 for a in spec.algorithms}
         frac_sum_sq = {a.label: 0.0 for a in spec.algorithms}
-        bits_total = 0
         trials_done = 0
-        while trials_done < spec.max_trials_per_point and any(
-            errors[a.label] < spec.target_errors for a in spec.algorithms
-        ):
-            t = trials_done
-            ch_seed, bits_seed, noise_seed, s0_seed = derive_seeds(
-                spec.master_seed, (_TAG_BER, j, t), 4
-            )
-            h = signal_model.generate_rayleigh_channel(m, k, ch_seed)
-            bits = _random_bits(bits_per_vector, bits_seed)
-            s = signal_model.modulate(bits, const, k)
-            y = signal_model.transmit(h, s, snr_db, noise_seed)
-            s0 = _initial_estimate(spec, k, s0_seed)
-            precomp = None
-            for alg in spec.algorithms:
-                if alg.name == "zf":
-                    est = detectors.zf_detect(h, y)
-                else:
-                    if alg.name == "rls" and precomp is None:
-                        precomp = detectors.rls_preprocess(h.entries)
-                    params = precomp if alg.name == "rls" else alg.detector_params()
-                    est = detectors.run_chain(alg.name, h, y, params, s0=s0)[-1]
-                decided = signal_model.demodulate_hard(est, const)
-                n_err = _bit_errors(bits, decided)
-                errors[alg.label] += n_err
-                frac = n_err / bits_per_vector
-                frac_sum[alg.label] += frac
-                frac_sum_sq[alg.label] += frac**2
-            bits_total += bits_per_vector
-            trials_done += 1
+        for chunk in _chunks(spec.max_trials_per_point, m, k):
+            counts = _ber_chunk(spec, const, j, chunk)
+            # The point stops after the first trial at which every algorithm
+            # has reached the target; trials of the chunk past it are dropped.
+            cumulative = np.array([errors[label] + np.cumsum(c) for label, c in counts.items()])
+            reached = np.all(cumulative >= spec.target_errors, axis=0)
+            used = int(np.argmax(reached)) + 1 if reached.any() else len(chunk)
+            for label, c in counts.items():
+                for n_err in c[:used].tolist():
+                    errors[label] += n_err
+                    frac = n_err / bits_per_vector
+                    frac_sum[label] += frac
+                    frac_sum_sq[label] += frac**2
+            trials_done += used
+            if reached.any():
+                break
+        bits_total = trials_done * bits_per_vector
         for alg in spec.algorithms:
             ber = errors[alg.label] / bits_total
             # Bits within one trial share a fade, so the standard error comes
@@ -413,7 +531,6 @@ def run_simulation(spec: ExperimentSpec):
     topo = spec.topology
     m, k = topo.m_antennas, topo.k_users
     const = Constellation.qam(spec.constellation_order)
-    bits_per_vector = k * const.bits_per_symbol
 
     ch_seed, s0_seed = derive_seeds(spec.master_seed, (_TAG_SIM,), 2)
     block = CoherenceBlock(
@@ -427,7 +544,7 @@ def run_simulation(spec: ExperimentSpec):
     re_batch = []
     for r in range(block.re_count):
         bits_seed, noise_seed = derive_seeds(spec.master_seed, (_TAG_SIM, r), 2)
-        s = signal_model.modulate(_random_bits(bits_per_vector, bits_seed), const, k)
+        s = const.points[_random_points(const, k, bits_seed)]
         symbol_vectors.append(s)
         re_batch.append(signal_model.transmit(h=block.channel, s=s, snr_db=spec.snr_db, rng_seed=noise_seed))
 
@@ -446,7 +563,7 @@ def run_simulation(spec: ExperimentSpec):
         )
         points = []
         for r, est in enumerate(outputs):
-            err = float(np.sum(np.abs(est.values - symbol_vectors[r].symbols) ** 2) / k)
+            err = float(np.sum(np.abs(est.values - symbol_vectors[r]) ** 2) / k)
             points.append(CurvePoint(x=r, mean=err, stderr=0.0, n_trials=1))
         curves.append(Curve(label=alg.label, points=tuple(points)))
         timelines[alg.label] = timeline

@@ -16,6 +16,7 @@ Gaussians use ``standard_normal``. Identical seeds give identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +30,7 @@ __all__ = [
     "UserSymbolVector",
     "demodulate_hard",
     "generate_rayleigh_channel",
+    "hard_decisions",
     "modulate",
     "noise_variance_for_snr",
     "transmit",
@@ -118,6 +120,31 @@ class Constellation:
                 labels.append(gray_bits(i_idx) + gray_bits(q_idx))
         return cls(order=order, points=np.array(points), bit_labels=tuple(labels))
 
+    def point_indices(self, bits) -> np.ndarray:
+        """Point carrying each ``bits_per_symbol`` group of a 0/1 array ``(..., n * bits_per_symbol)``.
+
+        Returns the point indices, shape ``(..., n)``.
+        """
+        b = self.bits_per_symbol
+        bits = np.asarray(bits)
+        groups = bits.reshape(bits.shape[:-1] + (-1, b))
+        return _label_tables(self.bit_labels)[0][groups @ (1 << np.arange(b - 1, -1, -1))]
+
+    def bit_distances(self) -> np.ndarray:
+        """``(order, order)`` table of bit errors (label Hamming distances) between points."""
+        return _label_tables(self.bit_labels)[1]
+
+
+@functools.cache
+def _label_tables(bit_labels: tuple) -> tuple:
+    """Read-only ``(point index of each label value, bit-error table)`` for a labelling."""
+    values = [int(label, 2) for label in bit_labels]
+    index_of_value = np.argsort(values)
+    distances = np.array([[(a ^ b).bit_count() for b in values] for a in values])
+    for table in (index_of_value, distances):
+        table.setflags(write=False)
+    return index_of_value, distances
+
 
 @dataclass(frozen=True)
 class UserSymbolVector:
@@ -164,8 +191,8 @@ def modulate(bits: str, constellation: Constellation, k: int) -> UserSymbolVecto
         raise ValueError(f"expected {k * b} bits for {k} users at order {constellation.order}, got {len(bits)}")
     if set(bits) - {"0", "1"}:
         raise ValueError("bit string may contain only '0' and '1'")
-    lookup = {label: pt for label, pt in zip(constellation.bit_labels, constellation.points)}
-    symbols = np.array([lookup[bits[i * b : (i + 1) * b]] for i in range(k)])
+    bit_values = np.frombuffer(bits.encode(), np.uint8) - ord("0")
+    symbols = constellation.points[constellation.point_indices(bit_values)]
     return UserSymbolVector(symbols=symbols, source_bits=bits)
 
 
@@ -175,10 +202,19 @@ def demodulate_hard(estimate, constellation: Constellation) -> str:
     Ties go to the lowest point index (``argmin`` keeps the first minimum).
     Accepts a bare complex vector or anything exposing ``.values``.
     """
-    values = np.asarray(getattr(estimate, "values", estimate))
-    distances = np.abs(values[:, None] - constellation.points[None, :]) ** 2
-    decisions = np.argmin(distances, axis=1)
+    decisions = hard_decisions(estimate, constellation)
     return "".join(constellation.bit_labels[d] for d in decisions)
+
+
+def hard_decisions(estimate, constellation: Constellation) -> np.ndarray:
+    """Index of the nearest constellation point for every entry of ``estimate``.
+
+    Works on any shape (a whole batch of K-vectors at once); ties go to the
+    lowest point index (``argmin`` keeps the first minimum).
+    """
+    values = np.asarray(getattr(estimate, "values", estimate))
+    distances = np.abs(values[..., None] - constellation.points) ** 2
+    return np.argmin(distances, axis=-1)
 
 
 def noise_variance_for_snr(k: int, snr_db: float) -> float:

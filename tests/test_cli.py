@@ -3,11 +3,13 @@
 import csv
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from daisymimo.cli import main
 from daisymimo.config import load_spec
+from daisymimo.harness import run_ber_sweep
 
 CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -35,8 +37,29 @@ class TestBundledConfigs:
             "simulate",
             "--config", str(CONFIGS_DIR / "simulate_chain.json"),
             "--timeline", str(tmp_path / "timeline.csv"),
+            "--out", str(tmp_path / "out"),
         ]) == 0
         assert (tmp_path / "timeline.csv").exists()
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("name", ["mse_m256.json", "mse_m2048_smoke.json"])
+    def test_bundled_mse_configs_run_at_two_trials(self, name, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["mse-sweep", "--config", str(CONFIGS_DIR / name), "--out", str(out_dir), "--trials", "2"]) == 0
+        spec = load_spec(CONFIGS_DIR / name)
+        assert len(list(out_dir.glob("*.csv"))) == len(spec.algorithms)
+        with open(out_dir / "rls.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == spec.topology.m_antennas
+        assert {row["n_trials"] for row in rows} == {"2"}
+
+    def test_bundled_ber_config_runs_reduced(self):
+        spec = replace(load_spec(CONFIGS_DIR / "ber_m256_16qam.json"), snr_db_grid=(0.0, 16.0), max_trials_per_point=2)
+        result = run_ber_sweep(spec)
+        assert [c.label for c in result.curves] == [a.label for a in spec.algorithms]
+        for curve in result.curves:
+            assert [p.n_trials for p in curve.points] == [2, 2]
+            assert 0.0 <= curve.points[1].mean <= curve.points[0].mean <= 0.5
 
 
 class TestRateTableCommand:
@@ -129,6 +152,57 @@ class TestSweepCommands:
         cfg = _write_config(tmp_path, {"kind": "mse_sweep", "bogus": 1})
         assert main(["mse-sweep", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
         assert "bogus" in capsys.readouterr().err
+
+
+class TestMalformedConfigs:
+    """Each malformed value ends in exit code 2 and one ``error:`` line, before anything runs."""
+
+    BASE = {
+        "kind": "ber_sweep",
+        "topology": {"m": 8, "k": 2, "c": 2, "b": 4},
+        "algorithms": [{"name": "rls"}, {"name": "zf"}],
+        "snr_db_grid": [0.0],
+        "target_errors": 10,
+        "max_trials_per_point": 20,
+    }
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"max_trials_per_point": 0},
+            {"target_errors": 0},
+            {"trials": "3"},
+            {"trials": 0},
+            {"trials": 2.5},
+            {"trials": True},
+            {"constellation_order": 8},
+            {"snr_db": "nan"},
+            {"snr_db": float("nan")},
+            {"snr_db_grid": [0.0, float("inf")]},
+            {"snr_db_grid": "0"},
+            {"re_count": 0},
+            {"master_seed": -1},
+            {"topology": {"m": "8", "k": 2}},
+            {"topology": {"m": 2, "k": 4}},
+            {"algorithms": [{"name": "sgd", "mu": "x"}]},
+            {"algorithms": [{"name": "sgd", "mu": -0.1}]},
+            {"algorithms": [{"name": "asgd", "mu": 0.1, "n0": 0}]},
+            {"power_save": {"policy": "freeze", "threshold": "high"}},
+        ],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_exit_2_with_one_line(self, override, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {**self.BASE, **override})
+        assert main(["ber-sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_trials_override(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {**self.BASE, "kind": "mse_sweep"})
+        assert main(["mse-sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--trials", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: trials must be >= 1, got 0\n"
 
 
 class TestSimulateCommand:

@@ -182,3 +182,49 @@ class TestBatchInvariance:
         for r in range(n_re):
             alone = absorb(algorithm, ChainState.start(algorithm, s0), rows, ys[r], params)
             assert _same_bytes(full.s[r], alone.s)
+
+
+class TestPerElementRows:
+    """Rows with a batch axis (one channel per trial, antenna-major ``(M, T, K)``)."""
+
+    @given(
+        k=st.integers(1, 16),
+        t=st.integers(1, 6),
+        extra=st.integers(0, 6),
+        algorithm=st.sampled_from(ALGORITHMS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_channels_match_one_channel_at_a_time(self, k, t, extra, algorithm, seed):
+        rng = np.random.default_rng(seed)
+        m = k + extra
+        rows, ys, s0 = _complex(rng, m, t, k), _complex(rng, t, m), _complex(rng, t, k)
+        params = rls_preprocess(rows) if algorithm == "rls" else _params(algorithm, rows[:, 0])
+        trajectory = []
+        out = absorb(algorithm, ChainState.start(algorithm, s0), rows, ys, params, trajectory=trajectory)
+        assert out.n == m
+        for i in range(t):
+            own = np.ascontiguousarray(rows[:, i])
+            own_params = rls_preprocess(own) if algorithm == "rls" else params
+            if algorithm == "rls":
+                assert _same_bytes(params.alphas[:, i], own_params.alphas)
+                assert _same_bytes(params.zs[:, i], own_params.zs)
+                assert _same_bytes(params.gamma_final[i], own_params.gamma_final)
+            alone = []
+            absorb(algorithm, ChainState.start(algorithm, s0[i]), own, ys[i], own_params, trajectory=alone)
+            assert all(_same_bytes(a[i], b) for a, b in zip(trajectory, alone))
+
+    def test_rejects_rows_of_another_batch_shape(self):
+        state = ChainState.start("sgd", np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            absorb("sgd", state, np.ones((5, 2, 3), complex), np.ones((4, 5)), SgdParams(mu=0.1))
+        absorb("sgd", state, np.ones((5, 4, 3), complex), np.ones((4, 5)), SgdParams(mu=0.1))
+
+    def test_gamma_update_batch_equals_single(self):
+        rng = np.random.default_rng(3)
+        gamma = np.stack([np.eye(5, dtype=complex) + 0.1 * np.diag(_complex(rng, 5).real) for _ in range(4)])
+        rows = _complex(rng, 4, 5)
+        alpha, z, nxt = detectors.gamma_update(gamma, rows)
+        for i in range(4):
+            a1, z1, g1 = detectors.gamma_update(gamma[i], rows[i])
+            assert alpha[i] == a1 and _same_bytes(z[i], z1) and _same_bytes(nxt[i], g1)

@@ -159,6 +159,38 @@ class TestDemodulateHard:
         assert demodulate_hard(est, c) == c.bit_labels[2]
 
 
+class TestIndexForms:
+    """The array forms the sweeps use agree with the string API."""
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_point_indices_match_modulate(self, order):
+        c = Constellation.qam(order)
+        bits = np.random.default_rng(order).integers(0, 2, (6, 5 * c.bits_per_symbol))
+        idx = c.point_indices(bits)
+        assert idx.shape == (6, 5)
+        for row, sent in zip(bits, idx):
+            string = "".join("01"[b] for b in row)
+            np.testing.assert_array_equal(c.points[sent], modulate(string, c, 5).symbols)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_batched_decisions_and_bit_distances_match_strings(self, order):
+        c = Constellation.qam(order)
+        rng = np.random.default_rng(order + 1)
+        est = rng.standard_normal((7, 4)) + 1j * rng.standard_normal((7, 4))
+        sent = rng.integers(0, order, (7, 4))
+        decided = signal_model.hard_decisions(est, c)
+        table = c.bit_distances()
+        for t in range(7):
+            string = demodulate_hard(est[t], c)
+            assert string == "".join(c.bit_labels[d] for d in decided[t])
+            sent_bits = "".join(c.bit_labels[i] for i in sent[t])
+            assert table[sent[t], decided[t]].sum() == sum(a != b for a, b in zip(sent_bits, string))
+
+    def test_tables_are_read_only(self):
+        with pytest.raises(ValueError):
+            Constellation.qam(16).bit_distances()[0, 0] = 1
+
+
 class TestTransmit:
     def test_noiseless_identity_channel(self):
         h = ChannelMatrix(np.eye(2, dtype=complex))
