@@ -51,7 +51,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import detectors
-from .detectors import AsgdParams, ChainState, EstimateVector, SgdParams
+from .detectors import ChainState, EstimateVector
 from .signal_model import ChannelMatrix
 
 __all__ = [
@@ -273,7 +273,7 @@ def _detect_block(chain, offsets, algorithm, samples, params, start, power_save,
         gains = params
         if algorithm == "rls":
             # The surrogate handoff: this cluster's gains continue the upstream gamma.
-            gains = detectors.rls_preprocess(node.local_csi, gamma0=gamma, block_id=node.cluster_id)
+            gains = detectors.rls_preprocess(node.local_csi, gamma0=gamma)
             gamma = gains.gamma_final
         skip = terminated
         if power_save is not None and c > 0:
@@ -345,12 +345,6 @@ def simulate_slot(
     The nodes of ``chain`` are not modified, so a chain can serve any number
     of slots.
     """
-    if algorithm not in detectors.ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {detectors.ALGORITHMS}")
-    if algorithm == "sgd" and not isinstance(params, SgdParams):
-        raise ValueError("sgd needs SgdParams")
-    if algorithm == "asgd" and not isinstance(params, AsgdParams):
-        raise ValueError("asgd needs AsgdParams")
     chain = list(chain)
     if not chain:
         raise ValueError("chain has no clusters")

@@ -34,13 +34,14 @@ Three update rules are provided.
 
 All three run through one kernel, :func:`absorb`, which absorbs a block of
 antenna rows into a :class:`ChainState` whose arrays may carry any leading
-batch shape (one entry per received vector). :func:`run_chain` calls it once
-without a batch axis, the chain simulator once per cluster over the block's
-resource elements (one shared channel), the Monte Carlo sweeps once per chunk
-of trials (one channel per trial), and the single-step functions
-(``rls_step``, ``sgd_step``, ``asgd_step``) are the same arithmetic applied to
-one row. Every operation is chosen so that a batch element is rounded exactly
-as it would be alone: the state arrays are C-contiguous, each inner product is one BLAS dot over a
+batch shape (one entry per received vector): :func:`run_chain` calls it once
+without a batch axis, the chain simulator once per cluster over a coherence
+block's resource elements, the Monte Carlo sweeps once per chunk of trials.
+The single-step functions (``rls_step``, ``sgd_step``, ``asgd_step``) apply
+its helpers to one row; :mod:`daisymimo.opcount` counts complex
+multiplications by running them and :func:`gamma_update`. Every operation is
+chosen so that a batch element is rounded exactly as it would be alone: the
+state arrays are C-contiguous, each inner product is one BLAS dot over a
 contiguous K-vector (:func:`numpy.vecdot`), real scalings of complex vectors
 are exact in every loop, and complex products run as loops over the K axis
 (spelled out in real arithmetic when K = 1).
@@ -65,7 +66,6 @@ __all__ = [
     "EstimateVector",
     "IllConditionedChannel",
     "RlsPrecomp",
-    "RlsState",
     "SgdParams",
     "StepRecord",
     "absorb",
@@ -73,7 +73,6 @@ __all__ = [
     "gamma_update",
     "rls_preprocess",
     "rls_step",
-    "rls_step_direct",
     "run_chain",
     "sgd_step",
     "zf_detect",
@@ -96,9 +95,6 @@ class EstimateVector:
     values: np.ndarray
     antenna_index: int = 0
 
-    def copy(self) -> "EstimateVector":
-        return EstimateVector(self.values.copy(), self.antenna_index)
-
 
 @dataclass
 class StepRecord:
@@ -106,23 +102,6 @@ class StepRecord:
 
     epsilon: complex
     estimate_after: EstimateVector
-
-
-@dataclass
-class RlsState:
-    """Unsplit RLS state: the inverse-Gramian surrogate plus the current estimate."""
-
-    gamma: np.ndarray
-    estimate: EstimateVector
-
-    def validate(self, hermitian_tol: float = 1e-10) -> None:
-        """Check the gamma invariants (Hermitian, positive definite)."""
-        gap = np.abs(self.gamma - self.gamma.conj().T).max()
-        if gap > hermitian_tol:
-            raise ValueError(f"gamma deviates from Hermitian by {gap:.3e}")
-        eigvals = np.linalg.eigvalsh(self.gamma)
-        if eigvals.min() <= 0:
-            raise ValueError(f"gamma not positive definite (min eigenvalue {eigvals.min():.3e})")
 
 
 @dataclass
@@ -139,7 +118,6 @@ class RlsPrecomp:
     alphas: np.ndarray
     zs: np.ndarray
     gamma_final: np.ndarray
-    block_id: int = 0
 
     def __len__(self) -> int:
         return len(self.alphas)
@@ -273,13 +251,7 @@ def gamma_update(gamma: np.ndarray, row: np.ndarray):
     return alpha, z, gamma_next
 
 
-def rls_preprocess(
-    rows,
-    k: Optional[int] = None,
-    gamma0: Optional[np.ndarray] = None,
-    block_id: int = 0,
-    keep_gamma_history: bool = False,
-):
+def rls_preprocess(rows, k: Optional[int] = None, gamma0: Optional[np.ndarray] = None) -> RlsPrecomp:
     """Run the channel-only half of RLS over the given rows (one coherence block).
 
     Starting from the identity (or ``gamma0`` when chaining partial blocks),
@@ -292,12 +264,8 @@ def rls_preprocess(
     every channel); the gains then carry the same batch axes after the
     antenna axis (``alphas`` ``(M, ...)``, ``zs`` ``(M, ..., K)``, and
     ``gamma_final`` ``(..., K, K)``).
-
-    Returns an :class:`RlsPrecomp`, or ``(RlsPrecomp, gamma_history)`` when
-    ``keep_gamma_history`` is set (history[n] is gamma after row ``n``).
     """
-    rows = getattr(rows, "entries", rows)
-    rows = np.asarray(rows, dtype=np.complex128)
+    rows = np.asarray(getattr(rows, "entries", rows), dtype=np.complex128)
     if rows.ndim < 2:
         raise ValueError(f"rows must have an antenna axis and a K axis, got shape {rows.shape}")
     if k is not None and rows.shape[-1] != k:
@@ -310,17 +278,11 @@ def rls_preprocess(
         gamma = np.asarray(gamma0, dtype=np.complex128)
     alphas = np.empty((m,) + batch)
     zs = np.empty(rows.shape, dtype=np.complex128)
-    history = []
     for n in range(m):
         alpha, z, gamma = gamma_update(gamma, rows[n])
         alphas[n] = alpha
         zs[n] = z
-        if keep_gamma_history:
-            history.append(gamma.copy())
-    precomp = RlsPrecomp(alphas=alphas, zs=zs, gamma_final=gamma, block_id=block_id)
-    if keep_gamma_history:
-        return precomp, history
-    return precomp
+    return RlsPrecomp(alphas=alphas, zs=zs, gamma_final=gamma)
 
 
 def _k1_product(a, b: np.ndarray) -> np.ndarray:
@@ -454,22 +416,6 @@ def rls_step(prev: EstimateVector, row: np.ndarray, y_n: complex, alpha: float, 
     return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
 
 
-def rls_step_direct(state: RlsState, row: np.ndarray, y_n: complex) -> tuple:
-    """Textbook single-shot RLS update (gamma and estimate together).
-
-    Reference form for the split preprocess/per-RE path; both produce the same
-    sequence up to float rounding.
-    """
-    eps = y_n - row @ state.estimate.values
-    alpha, z, gamma_next = gamma_update(state.gamma, row)
-    after = state.estimate.values + (alpha * eps) * z
-    next_state = RlsState(
-        gamma=gamma_next,
-        estimate=EstimateVector(after, state.estimate.antenna_index + 1),
-    )
-    return next_state, StepRecord(epsilon=eps, estimate_after=next_state.estimate)
-
-
 def sgd_step(prev: EstimateVector, row: np.ndarray, y_n: complex, mu_n: float) -> StepRecord:
     """One SGD update: move along the conjugate row by the prediction error.
 
@@ -528,8 +474,6 @@ def run_chain(
     ``params`` is an :class:`RlsPrecomp` (optional, recomputed if omitted),
     :class:`SgdParams`, or :class:`AsgdParams` depending on ``algorithm``.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     samples = np.asarray(getattr(y, "samples", y))
     m, k = h.m_antennas, h.k_users
     if samples.shape != (m,):

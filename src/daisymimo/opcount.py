@@ -1,24 +1,28 @@
-"""Instrumented twins of the detector kernels that tally complex multiplications.
+"""Complex-multiplication tallies measured on the production detector kernels.
 
 Complexity is accounted in complex-by-complex multiplications only: real-scalar
-scalings, additions and divisions are free. The counted steps call the same
-arithmetic helpers as :func:`daisymimo.detectors.absorb`, and the counted
-gamma update repeats :func:`daisymimo.detectors.gamma_update` expression for
-expression, so outputs are bit-identical to the uncounted versions; tests rely
-on that to know the counts describe the real code path.
-
-Per step the budget is 2K (prediction error K, estimate correction K); per
-preprocessing antenna it is 2K^2 + K (surrogate matvec K^2, quadratic form K,
-rank-one outer product K^2).
+scalings, additions and divisions are free. Each counted function calls the
+real :mod:`daisymimo.detectors` function with its arrays viewed as a
+:class:`_Tally`, which runs every ufunc on the plain arrays (so each output bit
+is that of the uncounted call) and tallies complex ``multiply`` by output
+element and complex ``matvec``/``vecdot``/``matmul`` by output element times
+contracted length. Per step that reads 2K (prediction error, correction); per
+preprocessing antenna 2K^2 + K (surrogate matvec, quadratic form, rank-one
+outer product), once per channel of a batched ``gamma_update``. At K = 1 the
+correction is written in real arithmetic (``detectors._k1_product``), so a
+step reads 1. ``absorb`` and ``rls_preprocess`` share these helpers but drop
+the view through ``np.ascontiguousarray``/``np.asarray``, so counts are taken
+on the step functions and ``gamma_update``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
-from .detectors import AsgdState, EstimateVector, StepRecord, _average, _correct, _residual
+from . import detectors
+from .detectors import AsgdState, EstimateVector, StepRecord
 
 __all__ = [
     "OpCounter",
@@ -29,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclasses.dataclass
 class OpCounter:
     complex_mults: int = 0
 
@@ -37,45 +41,52 @@ class OpCounter:
         self.complex_mults += int(n)
 
 
+class _Tally(np.ndarray):
+    """Array view that adds the complex products it takes part in to ``counter``."""
+
+    counter: OpCounter  # set on the subclass that :func:`_counted` makes per call
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = _convert(inputs, np.asarray)
+        kwargs = {key: _convert(value, np.asarray) for key, value in kwargs.items()}  # out= too
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if method == "__call__" and all(np.iscomplexobj(x) for x in inputs):
+            if ufunc is np.multiply:
+                self.counter.add(np.size(result))
+            elif ufunc in (np.matvec, np.vecdot, np.matmul):  # contract inputs[0]'s last axis
+                self.counter.add(np.size(result) * np.shape(inputs[0])[-1])
+        return _convert(result, lambda array: array.view(type(self)))
+
+
+def _convert(obj, view):
+    """``obj`` with ``view`` applied to every array in it, in tuples and dataclass fields too."""
+    if isinstance(obj, np.ndarray):
+        return view(obj)
+    if isinstance(obj, tuple):
+        return tuple(_convert(x, view) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        fields = {f.name: _convert(getattr(obj, f.name), view) for f in dataclasses.fields(obj)}
+        return dataclasses.replace(obj, **fields)
+    return obj
+
+
+def _counted(kernel, counter: OpCounter, *args):
+    """``kernel(*args)`` on tallying views of the arrays in ``args``; plain outputs."""
+    tally = type("_Tally", (_Tally,), {"counter": counter})
+    return _convert(kernel(*_convert(args, lambda array: array.view(tally))), np.asarray)
+
+
 def counted_sgd_step(prev: EstimateVector, row, y_n, mu_n, counter: OpCounter) -> StepRecord:
-    conj_row = row.conj()
-    counter.add(row.size)  # h^T s
-    eps = _residual(prev.values, conj_row, y_n)
-    counter.add(row.size)  # (mu eps) conj(h); mu eps itself is a real scaling
-    after = _correct(prev.values, mu_n * eps, conj_row)
-    return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
+    return _counted(detectors.sgd_step, counter, prev, row, y_n, mu_n)
 
 
 def counted_rls_step(prev: EstimateVector, row, y_n, alpha, z, counter: OpCounter) -> StepRecord:
-    counter.add(row.size)  # h^T s
-    eps = _residual(prev.values, row.conj(), y_n)
-    counter.add(z.size)  # (alpha eps) z; alpha is real
-    after = _correct(prev.values, alpha * eps, z)
-    return StepRecord(epsilon=eps, estimate_after=EstimateVector(after, prev.antenna_index + 1))
+    return _counted(detectors.rls_step, counter, prev, row, y_n, alpha, z)
 
 
 def counted_asgd_step(state: AsgdState, row, y_n, mu_n, counter: OpCounter) -> AsgdState:
-    conj_row = row.conj()
-    counter.add(row.size)  # h^T x
-    eps = _residual(state.x, conj_row, y_n)
-    counter.add(row.size)  # (mu eps) conj(h)
-    x_next = _correct(state.x, mu_n * eps, conj_row)
-    s_next = _average(state.s_avg, x_next, state.n + 1, state.n0)  # real scalings only
-    if s_next is x_next:
-        s_next = x_next.copy()
-    return AsgdState(x=x_next, s_avg=s_next, n=state.n + 1, n0=state.n0)
+    return _counted(detectors.asgd_step, counter, state, row, y_n, mu_n)
 
 
 def counted_gamma_update(gamma, row, counter: OpCounter):
-    k = row.size
-    counter.add(k * k)  # gamma @ conj(h)
-    z = gamma @ row.conj()
-    counter.add(k)  # h^T z
-    quad = row @ z
-    alpha = 1.0 / (1.0 + quad.real)
-    counter.add(k * k)  # (alpha z) z^H outer product; alpha z is a real scaling
-    gamma_next = gamma - (alpha * z)[:, None] * z.conj()[None, :]
-    gamma_next = 0.5 * (gamma_next + gamma_next.conj().T)
-    if not (np.isfinite(alpha) and np.isfinite(gamma_next).all()):
-        raise ValueError("non-finite values in gamma recursion")
-    return alpha, z, gamma_next
+    return _counted(detectors.gamma_update, counter, gamma, row)

@@ -64,10 +64,6 @@ class ChannelMatrix:
     def k_users(self) -> int:
         return self.entries.shape[1]
 
-    def row(self, n: int) -> np.ndarray:
-        """Local CSI of antenna ``n`` (the K coefficients h_n seen by that antenna)."""
-        return self.entries[n]
-
 
 @dataclass(frozen=True)
 class CoherenceBlock:
@@ -148,10 +144,9 @@ def _label_tables(bit_labels: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class UserSymbolVector:
-    """K transmitted symbols together with the source bits they encode."""
+    """K transmitted symbols."""
 
     symbols: np.ndarray
-    source_bits: str
 
 
 @dataclass(frozen=True)
@@ -193,7 +188,7 @@ def modulate(bits: str, constellation: Constellation, k: int) -> UserSymbolVecto
         raise ValueError("bit string may contain only '0' and '1'")
     bit_values = np.frombuffer(bits.encode(), np.uint8) - ord("0")
     symbols = constellation.points[constellation.point_indices(bit_values)]
-    return UserSymbolVector(symbols=symbols, source_bits=bits)
+    return UserSymbolVector(symbols=symbols)
 
 
 def demodulate_hard(estimate, constellation: Constellation) -> str:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from daisymimo import chain_sim, detectors, signal_model
 from daisymimo.chain_sim import (
+    ClusterNode,
     CostModel,
     PowerSavePolicy,
     TokenMessage,
@@ -153,6 +154,23 @@ class TestPipelineTiming:
         chain = build_chain(TopologyConfig.from_clusters(8, 2, 2), h)
         with pytest.raises(ValueError):
             simulate_slot(chain, "sgd", [], params=SgdParams(mu=0.1))
+
+    @pytest.mark.parametrize(
+        "algorithm,params,message",
+        [
+            ("sgd", AsgdParams(mu=0.1, n0=2), "sgd needs SgdParams"),
+            ("asgd", SgdParams(mu=0.1), "asgd needs AsgdParams"),
+            ("sgd", None, "sgd needs SgdParams"),
+            ("lms", None, "unknown algorithm 'lms'"),
+        ],
+    )
+    def test_mismatched_algorithm_and_params_rejected(self, algorithm, params, message):
+        # Cluster 0 never skips, so it rejects them even when power save would skip the rest.
+        h, batch = _instance(8, 2, 3, seed=1)
+        chain = build_chain(TopologyConfig.from_clusters(8, 2, 2), h)
+        policy = PowerSavePolicy("early_exit", np.inf)
+        with pytest.raises(ValueError, match=message):
+            simulate_slot(chain, algorithm, batch, params=params, power_save=policy)
 
 
 class TestDataLocalization:
@@ -386,12 +404,19 @@ class TestChainReuse:
             np.testing.assert_array_equal(node.local_csi, kept.local_csi)
 
 
-def _kept_antennas(report, n_re, b):
+def _uneven_chain(h, sizes):
+    """Clusters of ``sizes`` antennas over the rows of ``h``, numbered by ``extend_chain``."""
+    bounds = np.cumsum([0] + sizes)
+    return extend_chain([], [ClusterNode(0, h.entries[a:b]) for a, b in zip(bounds, bounds[1:])])
+
+
+def _kept_antennas(report, n_re, sizes):
     """Per RE, the antennas of the clusters that processed it, in chain order."""
+    bounds = np.cumsum([0] + sizes)
     kept = [[] for _ in range(n_re)]
     for e in sorted(report.entries, key=lambda e: e.cluster_id):
         if e.re_id >= 0 and not e.skipped:
-            kept[e.re_id].extend(range(e.cluster_id * b, (e.cluster_id + 1) * b))
+            kept[e.re_id].extend(range(bounds[e.cluster_id], bounds[e.cluster_id + 1]))
     return [np.array(rows, dtype=int) for rows in kept]
 
 
@@ -421,6 +446,10 @@ def _slots(draw):
     k = draw(st.integers(1, 64))
     b = draw(st.integers(1, 8))
     c = draw(st.integers(-(-k // b), -(-k // b) + 3))
+    # Uneven partitions: each cluster holds 1..b antennas, padded with full clusters to M >= K.
+    sizes = draw(st.lists(st.integers(1, b), min_size=c, max_size=c))
+    while sum(sizes) < k:
+        sizes.append(b)
     algorithm = draw(st.sampled_from(["rls", "sgd", "asgd"]))
     params = {
         "rls": None,
@@ -429,19 +458,19 @@ def _slots(draw):
     }[algorithm]
     mode = draw(st.sampled_from([None, "freeze", "early_exit"]))
     policy = None if mode is None else PowerSavePolicy(mode, draw(st.floats(0.0, 4.0)))
-    return k, b, c, draw(st.integers(1, 50)), algorithm, params, policy, draw(st.integers(0, 2**32 - 1))
+    return k, sizes, draw(st.integers(1, 50)), algorithm, params, policy, draw(st.integers(0, 2**32 - 1))
 
 
 class TestSlotBatchInvariance:
     @given(case=_slots())
     @settings(max_examples=60, deadline=None)
     def test_outputs_equal_run_chain_over_processed_antennas(self, case):
-        k, b, c, n_re, algorithm, params, policy, seed = case
-        h, batch = _instance(b * c, k, n_re, seed)
-        chain = build_chain(TopologyConfig.from_clusters(b * c, k, c), h)
+        k, sizes, n_re, algorithm, params, policy, seed = case
+        h, batch = _instance(sum(sizes), k, n_re, seed)
+        chain = _uneven_chain(h, sizes)
         outputs, report = simulate_slot(chain, algorithm, batch, params=params, power_save=policy)
         gains = detectors.rls_preprocess(h.entries)
-        for r, rows in enumerate(_kept_antennas(report, n_re, b)):
+        for r, rows in enumerate(_kept_antennas(report, n_re, sizes)):
             expected = _replay(algorithm, h, batch[r], rows, params, gains)
             assert outputs[r].antenna_index == len(rows)
             assert outputs[r].values.tobytes() == expected.values.tobytes()
@@ -449,9 +478,9 @@ class TestSlotBatchInvariance:
     @given(case=_slots(), pick=st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_outputs_do_not_depend_on_batch_companions(self, case, pick):
-        k, b, c, n_re, algorithm, params, policy, seed = case
-        h, batch = _instance(b * c, k, n_re, seed)
-        chain = build_chain(TopologyConfig.from_clusters(b * c, k, c), h)
+        k, sizes, n_re, algorithm, params, policy, seed = case
+        h, batch = _instance(sum(sizes), k, n_re, seed)
+        chain = _uneven_chain(h, sizes)
         outputs, report = simulate_slot(chain, algorithm, batch, params=params, power_save=policy)
         subset = pick.sample(range(n_re), pick.randint(1, n_re))
         sub_outputs, sub_report = simulate_slot(
@@ -460,7 +489,7 @@ class TestSlotBatchInvariance:
         flags = {(e.cluster_id, e.re_id): e.skipped for e in report.entries}
         for j, r in enumerate(subset):
             assert sub_outputs[j].values.tobytes() == outputs[r].values.tobytes()
-            for cl in range(c):
+            for cl in range(len(sizes)):
                 assert flags[(cl, r)] == next(
                     e.skipped for e in sub_report.entries if e.cluster_id == cl and e.re_id == j
                 )

@@ -11,13 +11,11 @@ from daisymimo.detectors import (
     AsgdState,
     EstimateVector,
     IllConditionedChannel,
-    RlsState,
     SgdParams,
     asgd_step,
     gamma_update,
     rls_preprocess,
     rls_step,
-    rls_step_direct,
     run_chain,
     sgd_step,
     zf_detect,
@@ -50,6 +48,23 @@ def _gaussian_elimination_solve(a, b):
     for row in range(n - 1, -1, -1):
         x[row] = (b[row] - a[row, row + 1 :] @ x[row + 1 :]) / a[row, row]
     return x
+
+
+def _gamma_history(rows):
+    """Gamma after each row, rebuilt from the identity with gamma_update."""
+    gamma, history = np.eye(rows.shape[1], dtype=complex), []
+    for row in rows:
+        _, _, gamma = gamma_update(gamma, row)
+        history.append(gamma)
+    return history
+
+
+def _rls_step_direct(gamma, s, row, y_n):
+    """Textbook unsplit RLS update, gamma and estimate together (oracle of the split form)."""
+    eps = y_n - row @ s
+    z = gamma @ row.conj()
+    alpha = 1.0 / (1.0 + (row @ z).real)
+    return gamma - alpha * np.outer(z, z.conj()), s + (alpha * eps) * z
 
 
 def _ridge_oracle(h_entries, y):
@@ -126,7 +141,7 @@ class TestRlsPreprocess:
 
     def test_zero_row_is_a_no_op(self):
         rows = np.array([[1.0 + 1j, 0.5 - 0.25j], [0.0, 0.0], [0.25j, 1.0 + 0j]])
-        pre, history = rls_preprocess(rows, keep_gamma_history=True)
+        pre, history = rls_preprocess(rows), _gamma_history(rows)
         assert pre.alphas[1] == 1.0
         np.testing.assert_array_equal(pre.zs[1], 0)
         np.testing.assert_array_equal(history[1], history[0])
@@ -140,7 +155,7 @@ class TestRlsPreprocess:
 
     def test_gamma_history_matches_partial_gramians(self):
         h, _ = _random_instance(32, 4, seed=3)
-        _, history = rls_preprocess(h.entries, keep_gamma_history=True)
+        history = _gamma_history(h.entries)
         for n, gamma_n in enumerate(history, start=1):
             partial = h.entries[:n]
             oracle = np.linalg.solve(np.eye(4) + partial.conj().T @ partial, np.eye(4))
@@ -181,11 +196,9 @@ class TestRlsPreprocess:
 
     def test_gamma_positive_definite_validation(self):
         h, _ = _random_instance(32, 4, seed=1)
-        pre = rls_preprocess(h.entries)
-        state = RlsState(gamma=pre.gamma_final, estimate=EstimateVector(np.zeros(4, complex)))
-        state.validate()
-        with pytest.raises(ValueError):
-            RlsState(gamma=-pre.gamma_final, estimate=state.estimate).validate()
+        gamma = rls_preprocess(h.entries).gamma_final
+        np.testing.assert_array_equal(gamma, gamma.conj().T)
+        assert np.linalg.eigvalsh(gamma).min() > 0
 
 
 class TestRlsStep:
@@ -215,12 +228,11 @@ class TestRlsStep:
         h, y = _random_instance(48, 6, seed=11)
         pre = rls_preprocess(h.entries)
         split = EstimateVector(np.zeros(6, dtype=complex), 0)
-        direct = RlsState(np.eye(6, dtype=complex), EstimateVector(np.zeros(6, dtype=complex), 0))
+        gamma, direct = np.eye(6, dtype=complex), np.zeros(6, dtype=complex)
         for n in range(48):
             split = rls_step(split, h.entries[n], y[n], pre.alphas[n], pre.zs[n]).estimate_after
-            direct, _ = rls_step_direct(direct, h.entries[n], y[n])
-        scale = np.linalg.norm(direct.estimate.values)
-        assert np.linalg.norm(split.values - direct.estimate.values) <= 1e-12 * scale
+            gamma, direct = _rls_step_direct(gamma, direct, h.entries[n], y[n])
+        assert np.linalg.norm(split.values - direct) <= 1e-12 * np.linalg.norm(direct)
 
 
 class TestSgdStep:

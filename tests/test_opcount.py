@@ -1,6 +1,6 @@
-"""Complexity accounting: the counted kernels must mirror production bit for bit
-and their complex-multiplication tallies must scale as O(K) per step and
-O(K^2) per preprocessing antenna."""
+"""Complexity accounting: counting on the production kernels must leave their
+outputs bit for bit, and the complex-multiplication tallies must scale as O(K)
+per step and O(K^2) per preprocessing antenna."""
 
 import numpy as np
 import pytest
@@ -45,6 +45,19 @@ class TestCountsScale:
         counter = OpCounter()
         counted_gamma_update(np.eye(k, dtype=complex), _row(k, 8), counter)
         assert counter.complex_mults == 2 * k * k + k
+
+    def test_batched_preprocess_counts_every_channel(self, k):
+        t = 5
+        rng = np.random.default_rng(k)
+        rows = (rng.standard_normal((4, t, k)) + 1j * rng.standard_normal((4, t, k))) / np.sqrt(2)
+        gamma = detectors.rls_preprocess(rows[:3]).gamma_final  # (t, K, K): one per channel
+        rows = rows[3]
+        counter = OpCounter()
+        counted = counted_gamma_update(gamma, rows, counter)
+        assert counter.complex_mults == t * (2 * k * k + k)
+        for c, p in zip(counted, detectors.gamma_update(gamma, rows)):
+            assert type(c) is np.ndarray
+            np.testing.assert_array_equal(c, p)
 
     def test_step_cost_independent_of_more_context(self, k):
         # The per-RE budget depends on K alone; running twice doubles exactly.

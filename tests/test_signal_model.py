@@ -49,10 +49,9 @@ class TestRayleighChannel:
         assert np.var(h.real) == pytest.approx(0.5, rel=0.05)
         assert np.var(h.imag) == pytest.approx(0.5, rel=0.05)
 
-    def test_shape_and_row_access(self):
+    def test_shape(self):
         h = generate_rayleigh_channel(6, 3, rng_seed=0)
         assert (h.m_antennas, h.k_users) == (6, 3)
-        np.testing.assert_array_equal(h.row(4), h.entries[4])
 
     def test_channel_matrix_rejects_m_below_k(self):
         with pytest.raises(ValueError):
@@ -125,11 +124,6 @@ class TestModulate:
         c = Constellation.qam(4)
         with pytest.raises(ValueError):
             modulate("0x", c, k=1)
-
-    def test_source_bits_stored(self):
-        c = Constellation.qam(16)
-        s = modulate("01100011", c, k=2)
-        assert s.source_bits == "01100011"
 
 
 class TestDemodulateHard:
