@@ -1,4 +1,4 @@
-"""Discrete-event simulator of the daisy-chained antenna-cluster topology.
+"""Pipelined-slot simulator of the daisy-chained antenna-cluster topology.
 
 Antennas are grouped into clusters wired in a line; only the last cluster
 talks to the sink. A resource element (RE) is detected by passing a token --
@@ -32,11 +32,13 @@ token-by-token timeline would, because
 * the schedule does not depend on the data: a skipped job still holds its
   cluster for ``re_ticks``, so only the ``skipped`` flags come from the math.
 
-A deterministic single-threaded event loop then lays out the schedule from
-bare ``(cluster, RE)`` jobs. The kernel rounds each RE as it would alone, so
-every delivered estimate is bit-identical to
-:func:`daisymimo.detectors.run_chain` over the antennas that processed that
-RE, for every partition of the array and whatever other REs share the block.
+The schedule then has a closed form: with ``p`` the prep cost (0 without prep
+jobs) and ``lag = max(p, re_ticks)``, cluster ``c`` starts RE ``r`` at ``p +
+c*lag + r*re_ticks``; cluster 0's jobs run first, then the rest by handoff
+tick and cluster. The kernel rounds each RE as it would alone, so every
+delivered estimate is bit-identical to :func:`daisymimo.detectors.run_chain`
+over the antennas that processed that RE, for every partition of the array
+and whatever other REs share the block.
 Observations and RLS gains live only for the duration of a call; the chain's
 nodes are never written to.
 """
@@ -44,7 +46,6 @@ nodes are never written to.
 from __future__ import annotations
 
 import csv
-import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,12 +154,15 @@ class PowerSavePolicy:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Tick costs: per cluster-RE processing step and per-cluster preprocessing job."""
+    """Tick costs in whole ticks: per cluster-RE processing step and per-cluster prep job."""
 
     re_ticks: int = 1
     prep_ticks: int = 0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.re_ticks < 1 or self.prep_ticks < 0:
             raise ValueError("re_ticks must be >= 1 and prep_ticks >= 0")
 
@@ -298,30 +302,27 @@ def _detect_block(chain, offsets, algorithm, samples, params, start, power_save,
 def _schedule(n_clusters: int, n_re: int, with_prep: bool, cost: CostModel) -> list:
     """The slot's jobs as ``(cluster_idx, re_id, start, end)`` in execution order.
 
-    A job becomes ready when its upstream handoff lands; a busy cluster queues
-    jobs in arrival order. ``re_id`` -1 is an RLS preprocessing job.
+    ``re_id`` -1 is an RLS preprocessing job. With ``d = re_ticks``, ``p =
+    prep_ticks`` when there are prep jobs (else 0) and ``lag = max(p, d)``,
+    cluster ``c`` starts its prep job at ``c*p`` and RE ``r`` at ``p + c*lag
+    + r*d``: the fill delay is ``(C-1)*lag`` and the slot ends at
+    ``p + (C-1)*lag + R*d``. Cluster 0's jobs run first, in job order; every
+    other job follows by the tick the same job ends upstream, then by cluster.
     """
-    events = []  # (ready_tick, seq, cluster_idx, re_id)
-    seq = 0
-    if with_prep:
-        events.append((0, seq, 0, -1))
-        seq += 1
-    for r in range(n_re):
-        events.append((0, seq, 0, r))
-        seq += 1
-    free_at = [0] * n_clusters
-    jobs = []
-    pop, push, last = heapq.heappop, heapq.heappush, n_clusters - 1
-    while events:
-        ready, _, c, r = pop(events)
-        start = ready if ready > free_at[c] else free_at[c]
-        end = start + (cost.prep_ticks if r < 0 else cost.re_ticks)
-        jobs.append((c, r, start, end))
-        if c < last:
-            push(events, (end, seq, c + 1, r))
-            seq += 1
-        free_at[c] = end
-    return jobs
+    d = cost.re_ticks
+    p = cost.prep_ticks if with_prep else 0
+    lag = max(p, d)
+    cluster = np.arange(n_clusters)[:, None]
+    re = np.arange(-1 if with_prep else 0, n_re)
+    start = np.where(re < 0, cluster * p, p + cluster * lag + re * d)
+    end = start + np.where(re < 0, p, d)
+    ready = np.zeros_like(start)
+    ready[1:] = end[:-1]
+    cluster, re = np.broadcast_arrays(cluster, re)
+    # Cluster 0's jobs are all ready at 0; lexsort is stable, so they keep job order.
+    order = np.lexsort((cluster.ravel(), ready.ravel()))
+    columns = [a.ravel()[order].tolist() for a in (cluster, re, start, end)]
+    return list(zip(*columns))
 
 
 def simulate_slot(

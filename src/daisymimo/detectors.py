@@ -53,7 +53,7 @@ least-squares factorization and RLS through the rank-one recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -125,27 +125,16 @@ class RlsPrecomp:
 
 @dataclass(frozen=True)
 class SgdParams:
-    """Step-size configuration: constant ``mu`` or a per-antenna ``schedule(n)``.
+    """SGD configuration: the constant step size ``mu`` (> 0) of every antenna."""
 
-    ``n`` is the 1-based antenna index. Exactly one of the two must be set.
-    """
-
-    mu: Optional[float] = None
-    schedule: Optional[Callable[[int], float]] = None
+    mu: float
 
     def __post_init__(self):
-        if (self.mu is None) == (self.schedule is None):
-            raise ValueError("set exactly one of mu / schedule")
-        if self.mu is not None and not self.mu > 0:
+        if not self.mu > 0:
             raise ValueError(f"step size must be positive, got {self.mu}")
 
     def step_size(self, n: int) -> float:
-        if self.mu is not None:
-            return self.mu
-        mu_n = self.schedule(n)
-        if not mu_n > 0:
-            raise ValueError(f"schedule returned non-positive step size {mu_n} at n={n}")
-        return mu_n
+        return self.mu
 
 
 @dataclass(frozen=True)
@@ -337,16 +326,6 @@ def _average(s: np.ndarray, x: np.ndarray, count, n0: int) -> np.ndarray:
     return np.where(before[..., None], x, mean) if before.any() else mean
 
 
-def _step_sizes(params: SgdParams, counts):
-    """SGD step size for each batch element's next antenna (``counts`` is 1-based)."""
-    if params.mu is not None:
-        return params.mu
-    if isinstance(counts, int):
-        return params.step_size(counts)
-    values, inverse = np.unique(counts, return_inverse=True)
-    return np.array([params.step_size(int(v)) for v in values])[inverse.reshape(np.shape(counts))]
-
-
 _PARAM_TYPES = {"rls": RlsPrecomp, "sgd": SgdParams, "asgd": AsgdParams}
 
 
@@ -368,8 +347,8 @@ def absorb(
     observations at those antennas: the batch shape of ``state`` plus
     ``(B,)``. ``params`` is an :class:`RlsPrecomp` whose gains cover exactly
     these rows, batched like them (rls), :class:`SgdParams` or
-    :class:`AsgdParams`. SGD step sizes and the ASGD onset follow each
-    element's own absorbed count ``n``.
+    :class:`AsgdParams`. The ASGD onset follows each element's own
+    absorbed count ``n``.
 
     With ``trajectory`` (a list), the estimate after each antenna is appended
     to it. Returns the new state.
@@ -400,7 +379,7 @@ def absorb(
         if algorithm == "rls":
             s = _correct(s, alphas[i] * _residual(s, conj_row, y), zs[i])
         elif algorithm == "sgd":
-            s = _correct(s, _step_sizes(params, n + i + 1) * _residual(s, conj_row, y), conj_row)
+            s = _correct(s, params.mu * _residual(s, conj_row, y), conj_row)
         else:
             x = _correct(x, params.mu * _residual(x, conj_row, y), conj_row)
             s = _average(s, x, n + i + 1, params.n0)
@@ -420,7 +399,7 @@ def sgd_step(prev: EstimateVector, row: np.ndarray, y_n: complex, mu_n: float) -
     """One SGD update: move along the conjugate row by the prediction error.
 
     ``mu_n = 0`` is tolerated (null step) so boundary behavior stays testable;
-    production schedules must be positive.
+    production step sizes must be positive.
     """
     if mu_n < 0:
         raise ValueError(f"step size must be >= 0, got {mu_n}")

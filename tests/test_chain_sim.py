@@ -3,6 +3,7 @@ data localization, power save, and plug-and-play extension."""
 
 import csv
 import dataclasses
+import heapq
 
 import numpy as np
 import pytest
@@ -140,6 +141,24 @@ class TestPipelineTiming:
             assert first_re[c].start_tick >= prep[c].end_tick
         # the surrogate handoff pipelines too
         assert prep[1].start_tick >= prep[0].end_tick
+
+    @pytest.mark.parametrize("algorithm,expected", [("rls", (15, 26)), ("sgd", (6, 12))])
+    def test_prep_slower_than_re_sets_the_lag(self, algorithm, expected):
+        # With prep jobs, cluster c starts RE 0 after its own prep at (c+1)*prep_ticks.
+        h, batch = _instance(12, 3, 3, seed=4)
+        chain = build_chain(TopologyConfig.from_clusters(12, 3, 4), h)
+        _, report = simulate_slot(
+            chain, algorithm, batch, params=_params(algorithm), cost=CostModel(re_ticks=2, prep_ticks=5)
+        )
+        report.validate()
+        assert (report.pipeline_delay, report.total_ticks) == expected
+
+    @pytest.mark.parametrize(
+        "fields", [{"re_ticks": 1.5}, {"re_ticks": True}, {"prep_ticks": 2.0}, {"prep_ticks": False}, {"re_ticks": "2"}]
+    )
+    def test_non_integer_tick_costs_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CostModel(**fields)
 
     def test_prep_results_identical_regardless_of_prep_cost(self):
         h, batch = _instance(12, 3, 2, seed=4)
@@ -380,6 +399,46 @@ class TestGoldenTimeline:
         assert (report.pipeline_delay, report.total_ticks) == (4, 14)
 
 
+def _heap_schedule(n_clusters, n_re, with_prep, cost):
+    """Reference event loop: pops jobs by ``(ready_tick, seq)``; a busy cluster queues them."""
+    events = []  # (ready_tick, seq, cluster_idx, re_id)
+    seq = 0
+    if with_prep:
+        events.append((0, seq, 0, -1))
+        seq += 1
+    for r in range(n_re):
+        events.append((0, seq, 0, r))
+        seq += 1
+    free_at = [0] * n_clusters
+    jobs = []
+    pop, push, last = heapq.heappop, heapq.heappush, n_clusters - 1
+    while events:
+        ready, _, c, r = pop(events)
+        start = ready if ready > free_at[c] else free_at[c]
+        end = start + (cost.prep_ticks if r < 0 else cost.re_ticks)
+        jobs.append((c, r, start, end))
+        if c < last:
+            push(events, (end, seq, c + 1, r))
+            seq += 1
+        free_at[c] = end
+    return jobs
+
+
+class TestClosedFormSchedule:
+    @given(
+        n_clusters=st.integers(1, 40),
+        n_re=st.integers(1, 60),
+        re_ticks=st.integers(1, 7),
+        prep_ticks=st.integers(0, 20),
+        with_prep=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_heap_event_loop(self, n_clusters, n_re, re_ticks, prep_ticks, with_prep):
+        cost = CostModel(re_ticks=re_ticks, prep_ticks=prep_ticks)
+        expected = _heap_schedule(n_clusters, n_re, with_prep, cost)
+        assert chain_sim._schedule(n_clusters, n_re, with_prep, cost) == expected
+
+
 class TestChainReuse:
     @pytest.mark.parametrize("algorithm", ["rls", "sgd", "asgd"])
     def test_one_chain_serves_many_batches(self, algorithm):
@@ -453,7 +512,7 @@ def _slots(draw):
     algorithm = draw(st.sampled_from(["rls", "sgd", "asgd"]))
     params = {
         "rls": None,
-        "sgd": draw(st.sampled_from([SgdParams(mu=0.3 / k), SgdParams(schedule=lambda n: 1.0 / (n + 4))])),
+        "sgd": SgdParams(mu=0.3 / k),
         "asgd": AsgdParams(mu=0.3 / k, n0=draw(st.integers(1, 2 * b + 1))),
     }[algorithm]
     mode = draw(st.sampled_from([None, "freeze", "early_exit"]))

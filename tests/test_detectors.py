@@ -267,22 +267,9 @@ class TestSgdStep:
 
 
 class TestSgdParams:
-    def test_requires_exactly_one_of_mu_and_schedule(self):
-        with pytest.raises(ValueError):
-            SgdParams()
-        with pytest.raises(ValueError):
-            SgdParams(mu=0.1, schedule=lambda n: 0.1)
-
     def test_positive_mu_enforced(self):
         with pytest.raises(ValueError):
             SgdParams(mu=0.0)
-
-    def test_schedule_hook(self):
-        params = SgdParams(schedule=lambda n: 1.0 / n)
-        assert params.step_size(4) == 0.25
-        bad = SgdParams(schedule=lambda n: 0.0)
-        with pytest.raises(ValueError):
-            bad.step_size(1)
 
 
 class TestAsgdStep:

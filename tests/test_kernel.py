@@ -28,11 +28,11 @@ def _complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _params(algorithm, rows, schedule=False):
+def _params(algorithm, rows):
     if algorithm == "rls":
         return rls_preprocess(rows)
     if algorithm == "sgd":
-        return SgdParams(schedule=lambda n: 0.5 / (n + 1)) if schedule else SgdParams(mu=0.05)
+        return SgdParams(mu=0.05)
     return AsgdParams(mu=0.05, n0=3)
 
 
@@ -71,7 +71,7 @@ class TestStepFunctionsMatchKernel:
         rng = np.random.default_rng(k)
         m = k + 9
         rows, ys, s0 = _complex(rng, m, k), _complex(rng, m), _complex(rng, k)
-        params = _params(algorithm, rows, schedule=True)
+        params = _params(algorithm, rows)
         trajectory = []
         out = absorb(algorithm, ChainState.start(algorithm, s0), rows, ys, params, trajectory=trajectory)
         estimate, iterate, count = _by_steps(algorithm, rows, ys, params, s0)
@@ -85,7 +85,7 @@ class TestStepFunctionsMatchKernel:
     def test_blocks_chain_like_one_call(self, algorithm):
         rng = np.random.default_rng(7)
         rows, ys = _complex(rng, 12, 4), _complex(rng, 5, 12)
-        params = _params(algorithm, rows, schedule=True)
+        params = _params(algorithm, rows)
         whole = absorb(algorithm, ChainState.start(algorithm, np.zeros(4), (5,)), rows, ys, params)
         split = ChainState.start(algorithm, np.zeros(4), (5,))
         for lo, hi in ((0, 5), (5, 6), (6, 12)):
@@ -125,17 +125,16 @@ class TestBatchInvariance:
         b=st.integers(1, 6),
         c=st.integers(1, 5),
         algorithm=st.sampled_from(ALGORITHMS),
-        schedule=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_skip_masks_match_unbatched_replay(self, k, n_re, b, c, algorithm, schedule, seed):
+    def test_random_skip_masks_match_unbatched_replay(self, k, n_re, b, c, algorithm, seed):
         """Cluster-major batched absorption under random skip masks equals, RE
         by RE, the unbatched kernel and the step functions over the rows that
-        RE absorbed; counts, SGD step sizes and the ASGD onset are per RE."""
+        RE absorbed; counts and the ASGD onset are per RE."""
         rng = np.random.default_rng(seed)
         rows, ys, s0 = _complex(rng, b * c, k), _complex(rng, n_re, b * c), _complex(rng, k)
-        params = _params(algorithm, rows, schedule)
+        params = _params(algorithm, rows)
         work = rng.random((c, n_re)) < 0.6
         work[0] = True  # the first cluster always processes
         state = ChainState.start(algorithm, s0, (n_re,))
