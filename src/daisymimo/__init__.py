@@ -2,7 +2,7 @@
 
 Subpackages cover the uplink signal model (Rayleigh channels, Gray-mapped QAM),
 the recursive detectors (RLS, SGD, averaged SGD) with a zero-forcing baseline,
-a discrete-event simulator of the pipelined daisy chain, an analytic
+a pipelined slot simulator of the daisy chain, an analytic
 inter-cluster data-rate model, and a reproducible Monte Carlo harness with a
 CLI front end (``mimo``).
 """

@@ -22,8 +22,9 @@ cluster has no chain predecessor and always processes.
 The timeline follows the tokens, but the math runs cluster by cluster:
 :func:`simulate_slot` takes the whole block through cluster 0, then through
 cluster 1, and so on, with one :func:`daisymimo.detectors.absorb` call per
-cluster over the REs that cluster does not skip. That yields the numbers the
-token-by-token timeline would, because
+cluster over every RE of the block; an RE that cluster skips keeps its
+incoming token. That yields the numbers the token-by-token timeline would,
+because
 
 * what cluster ``c`` does to RE ``r`` depends only on RE ``r``'s token from
   cluster ``c-1`` and on data local to cluster ``c`` (its rows, its RLS
@@ -237,29 +238,7 @@ def extend_chain(chain: Sequence[ClusterNode], extra_clusters: Sequence[ClusterN
     ]
 
 
-def _antenna_offsets(chain: Sequence[ClusterNode]) -> list:
-    offsets, total = [], 0
-    for node in chain:
-        offsets.append(total)
-        total += node.b_antennas
-    return offsets
-
-
-def _absorb_some(algorithm, state: ChainState, idx: np.ndarray, rows, ys, params) -> ChainState:
-    """Absorb ``rows`` into the REs ``idx`` of ``state`` only, returning new arrays."""
-    x = state.x
-    part = detectors.absorb(
-        algorithm, ChainState(state.s[idx], state.n[idx], None if x is None else x[idx]), rows, ys, params
-    )
-    s, n = state.s.copy(), state.n.copy()
-    s[idx], n[idx] = part.s, part.n
-    if x is not None:
-        x = x.copy()
-        x[idx] = part.x
-    return ChainState(s, n, x)
-
-
-def _detect_block(chain, offsets, algorithm, samples, params, start, power_save, keep_tokens):
+def _detect_block(chain, algorithm, samples, params, start, power_save, keep_tokens):
     """Take every RE of the block through the clusters in order.
 
     Returns ``(state, skipped, tokens)``: the final :class:`ChainState` over
@@ -272,8 +251,10 @@ def _detect_block(chain, offsets, algorithm, samples, params, start, power_save,
     skipped = np.zeros((len(chain), n_re), dtype=bool)
     gamma = np.eye(k, dtype=np.complex128)
     tokens = []
-    for c, (node, off) in enumerate(zip(chain, offsets)):
+    off = 0
+    for c, node in enumerate(chain):
         ys = samples[:, off : off + node.b_antennas]
+        off += node.b_antennas
         gains = params
         if algorithm == "rls":
             # The surrogate handoff: this cluster's gains continue the upstream gamma.
@@ -289,18 +270,21 @@ def _detect_block(chain, offsets, algorithm, samples, params, start, power_save,
             if power_save.mode == "early_exit":
                 terminated = skip
         skipped[c] = skip
-        work = np.flatnonzero(~skip)
-        if work.size == n_re:
-            state = detectors.absorb(algorithm, state, node.local_csi, ys, gains)
-        elif work.size:
-            state = _absorb_some(algorithm, state, work, node.local_csi, ys[work], gains)
+        # Skipped REs are absorbed too, then dropped: the kernel rounds each RE as it
+        # would alone, so the others do not depend on them.
+        new = detectors.absorb(algorithm, state, node.local_csi, ys, gains)
+        state = ChainState(
+            np.where(skip[:, None], state.s, new.s),
+            np.where(skip, state.n, new.n),
+            None if new.x is None else np.where(skip[:, None], state.x, new.x),
+        )
         if keep_tokens:
             tokens.append((state.s, state.n, state.x, terminated))
     return state, skipped, tokens
 
 
-def _schedule(n_clusters: int, n_re: int, with_prep: bool, cost: CostModel) -> list:
-    """The slot's jobs as ``(cluster_idx, re_id, start, end)`` in execution order.
+def _schedule(n_clusters: int, n_re: int, with_prep: bool, cost: CostModel) -> tuple:
+    """The slot's jobs as arrays ``(cluster_idx, re_id, start, end)`` in execution order.
 
     ``re_id`` -1 is an RLS preprocessing job. With ``d = re_ticks``, ``p =
     prep_ticks`` when there are prep jobs (else 0) and ``lag = max(p, d)``,
@@ -321,8 +305,7 @@ def _schedule(n_clusters: int, n_re: int, with_prep: bool, cost: CostModel) -> l
     cluster, re = np.broadcast_arrays(cluster, re)
     # Cluster 0's jobs are all ready at 0; lexsort is stable, so they keep job order.
     order = np.lexsort((cluster.ravel(), ready.ravel()))
-    columns = [a.ravel()[order].tolist() for a in (cluster, re, start, end)]
-    return list(zip(*columns))
+    return tuple(a.ravel()[order] for a in (cluster, re, start, end))
 
 
 def simulate_slot(
@@ -353,8 +336,7 @@ def simulate_slot(
     n_re = len(re_batch)
     if n_re < 1:
         raise ValueError("re_batch must contain at least one resource element")
-    offsets = _antenna_offsets(chain)
-    m_total = offsets[-1] + chain[-1].b_antennas
+    m_total = sum(node.b_antennas for node in chain)
     k = chain[0].k_users
 
     samples = np.stack([np.asarray(getattr(rv, "samples", rv)) for rv in re_batch])
@@ -363,17 +345,18 @@ def simulate_slot(
 
     start_values = detectors._initial_estimate(k, s0)
     state, skipped, tokens = _detect_block(
-        chain, offsets, algorithm, samples, params, start_values, power_save, message_log is not None
+        chain, algorithm, samples, params, start_values, power_save, message_log is not None
     )
 
-    jobs = _schedule(n_clusters, n_re, algorithm == "rls", cost)
-    ids = [node.cluster_id for node in chain]
-    flags = skipped.tolist()
+    cluster, re, start, end = _schedule(n_clusters, n_re, algorithm == "rls", cost)
+    ids = np.array([node.cluster_id for node in chain])
+    flags = (re >= 0) & skipped[cluster, re]
     entries = [
-        TimelineEntry(ids[c], r, start, end, r >= 0 and flags[c][r]) for c, r, start, end in jobs
+        TimelineEntry(*job)
+        for job in zip(ids[cluster].tolist(), re.tolist(), start.tolist(), end.tolist(), flags.tolist())
     ]
     if message_log is not None:
-        for c, r, _, _ in jobs:
+        for c, r in zip(cluster.tolist(), re.tolist()):
             if r >= 0:
                 s, n, x, terminated = tokens[c]
                 message_log.append(TokenMessage(
@@ -383,11 +366,11 @@ def simulate_slot(
                     terminated=bool(terminated[r]),
                 ))
 
-    first_starts = {c: start for c, r, start, _ in jobs if r == 0}
+    first = start[re == 0]
     report = TimelineReport(
         entries=entries,
-        pipeline_delay=first_starts[n_clusters - 1] - first_starts[0],
-        total_ticks=max(end for _, _, _, end in jobs),
+        pipeline_delay=int(first.max() - first.min()),
+        total_ticks=int(end.max()),
         skipped_steps=int(skipped.sum()),
     )
     outputs = [EstimateVector(values, int(n)) for values, n in zip(state.s, state.n)]

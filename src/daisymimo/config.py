@@ -9,6 +9,7 @@ numbers); range checks live in the spec classes, so both surface as a
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -109,12 +110,7 @@ def _scenario(data, index: int) -> RateScenario:
     return _build(RateScenario, where, **{key: _integer(value, f"{where}.{key}") for key, value in data.items()})
 
 
-_TOP_LEVEL_KEYS = {
-    "kind", "topology", "frame", "algorithms", "snr_db", "snr_db_grid",
-    "constellation_order", "trials", "master_seed", "s0_mode", "re_count",
-    "target_errors", "max_trials_per_point", "power_save", "re_ticks",
-    "prep_ticks", "scenarios",
-}
+_TOP_LEVEL_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import __version__, chain_sim, detectors, interconnect, signal_model
 from .chain_sim import CostModel, PowerSavePolicy, TopologyConfig
 from .detectors import AsgdParams, SgdParams
 from .interconnect import TABLE_SCENARIOS, FrameConfig, RateReport, RateScenario
-from .signal_model import CoherenceBlock, Constellation
+from .signal_model import Constellation
 
 __all__ = [
     "AlgorithmSpec",
@@ -163,35 +163,14 @@ class ExperimentSpec:
             raise ValueError("algorithm labels must be unique")
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "snr_db": self.snr_db,
-            "snr_db_grid": list(self.snr_db_grid),
-            "constellation_order": self.constellation_order,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "s0_mode": self.s0_mode,
-            "re_count": self.re_count,
-            "target_errors": self.target_errors,
-            "max_trials_per_point": self.max_trials_per_point,
-            "re_ticks": self.re_ticks,
-            "prep_ticks": self.prep_ticks,
-            "algorithms": [a.to_dict() for a in self.algorithms],
-            "frame": {
-                "t_slot": self.frame.t_slot,
-                "n_slot": self.frame.n_slot,
-                "n_ul": self.frame.n_ul,
-                "n_u": self.frame.n_u,
-                "s_cb": self.frame.s_cb,
-                "w_s": self.frame.w_s,
-                "w_gamma": self.frame.w_gamma,
-                "w_sc": self.frame.w_sc,
-            },
-            "scenarios": [
-                {"m": s.m, "k": s.k, "c": s.c, "b": s.b, "n_iter": s.n_iter}
-                for s in self.scenarios
-            ],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            snr_db_grid=list(self.snr_db_grid),
+            algorithms=[a.to_dict() for a in self.algorithms],
+            frame=asdict(self.frame),
+            scenarios=[asdict(s) for s in self.scenarios],
+        )
+        del out["topology"], out["power_save"]
         if self.topology is not None:
             t = self.topology
             out["topology"] = {"m": t.m_antennas, "k": t.k_users, "c": t.c_clusters, "b": t.b_per_cluster}
@@ -533,20 +512,17 @@ def run_simulation(spec: ExperimentSpec):
     const = Constellation.qam(spec.constellation_order)
 
     ch_seed, s0_seed = derive_seeds(spec.master_seed, (_TAG_SIM,), 2)
-    block = CoherenceBlock(
-        channel=signal_model.generate_rayleigh_channel(m, k, ch_seed),
-        re_count=spec.re_count,
-    )
-    chain = chain_sim.build_chain(topo, block.channel)
+    h = signal_model.generate_rayleigh_channel(m, k, ch_seed)
+    chain = chain_sim.build_chain(topo, h)
     s0 = _initial_estimate(spec, k, s0_seed)
 
     symbol_vectors = []
     re_batch = []
-    for r in range(block.re_count):
+    for r in range(spec.re_count):
         bits_seed, noise_seed = derive_seeds(spec.master_seed, (_TAG_SIM, r), 2)
         s = const.points[_random_points(const, k, bits_seed)]
         symbol_vectors.append(s)
-        re_batch.append(signal_model.transmit(h=block.channel, s=s, snr_db=spec.snr_db, rng_seed=noise_seed))
+        re_batch.append(signal_model.transmit(h=h, s=s, snr_db=spec.snr_db, rng_seed=noise_seed))
 
     cost = CostModel(re_ticks=spec.re_ticks, prep_ticks=spec.prep_ticks)
     curves = []

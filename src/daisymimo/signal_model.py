@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "ChannelMatrix",
-    "CoherenceBlock",
     "Constellation",
     "ReceivedVector",
     "UserSymbolVector",
@@ -63,18 +62,6 @@ class ChannelMatrix:
     @property
     def k_users(self) -> int:
         return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class CoherenceBlock:
-    """A channel realization shared by ``re_count`` consecutive resource elements."""
-
-    channel: ChannelMatrix
-    re_count: int
-
-    def __post_init__(self):
-        if self.re_count < 1:
-            raise ValueError(f"re_count must be >= 1, got {self.re_count}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the ``mimo`` command line entry points."""
 
 import csv
+import hashlib
 import json
 import pathlib
 from dataclasses import replace
@@ -41,6 +42,16 @@ class TestBundledConfigs:
         ]) == 0
         assert (tmp_path / "timeline.csv").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_bundled_simulate_timeline_is_pinned(self, tmp_path, capsys):
+        # Recorded from the shipped config; its closest skip decision is 1.3e-3
+        # from the 1.5 threshold, far beyond BLAS rounding differences.
+        timeline = tmp_path / "timeline.csv"
+        assert main(["simulate", "--config", str(CONFIGS_DIR / "simulate_chain.json"), "--timeline", str(timeline)]) == 0
+        assert "rls: pipeline delay 7 ticks, total 40 ticks, 120 skipped cluster-steps" in capsys.readouterr().out
+        data = timeline.read_bytes()
+        assert data.count(b"\n") == 265
+        assert hashlib.sha256(data).hexdigest() == "cd71f2265e6aeec6f0dd9e0485d59dbe3c15eb9ec7326de6b346f080a7cc0048"
 
     @pytest.mark.parametrize("name", ["mse_m256.json", "mse_m2048_smoke.json"])
     def test_bundled_mse_configs_run_at_two_trials(self, name, tmp_path, capsys):

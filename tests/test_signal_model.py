@@ -6,7 +6,6 @@ import pytest
 from daisymimo import signal_model
 from daisymimo.signal_model import (
     ChannelMatrix,
-    CoherenceBlock,
     Constellation,
     demodulate_hard,
     generate_rayleigh_channel,
@@ -62,12 +61,6 @@ class TestRayleighChannel:
         bad[1, 1] = np.nan
         with pytest.raises(ValueError):
             ChannelMatrix(bad)
-
-    def test_coherence_block_needs_at_least_one_re(self):
-        h = generate_rayleigh_channel(4, 2, rng_seed=0)
-        assert CoherenceBlock(channel=h, re_count=400).re_count == 400
-        with pytest.raises(ValueError):
-            CoherenceBlock(channel=h, re_count=0)
 
 
 class TestConstellation:
