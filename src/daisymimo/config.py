@@ -154,9 +154,9 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
 
 
 def load_spec(path) -> ExperimentSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return spec_from_dict(data)

@@ -254,7 +254,7 @@ def rls_preprocess(rows, k: Optional[int] = None, gamma0: Optional[np.ndarray] =
     antenna axis (``alphas`` ``(M, ...)``, ``zs`` ``(M, ..., K)``, and
     ``gamma_final`` ``(..., K, K)``).
     """
-    rows = np.asarray(getattr(rows, "entries", rows), dtype=np.complex128)
+    rows = np.asanyarray(getattr(rows, "entries", rows), dtype=np.complex128)
     if rows.ndim < 2:
         raise ValueError(f"rows must have an antenna axis and a K axis, got shape {rows.shape}")
     if k is not None and rows.shape[-1] != k:
@@ -353,8 +353,8 @@ def absorb(
     With ``trajectory`` (a list), the estimate after each antenna is appended
     to it. Returns the new state.
     """
-    s, x, n = np.ascontiguousarray(state.s), state.x, state.n
-    rows = np.ascontiguousarray(rows, dtype=np.complex128)
+    s, x, n = np.require(state.s, requirements="C"), state.x, state.n
+    rows = np.require(rows, np.complex128, "C")
     if rows.ndim < 2 or rows.shape[1:] not in (s.shape[-1:], s.shape):
         raise ValueError(f"rows have shape {rows.shape}, expected (B, {s.shape[-1]}) or (B,) + {s.shape}")
     b = rows.shape[0]
@@ -374,7 +374,7 @@ def absorb(
         alphas = list(np.asarray(params.alphas, dtype=float))
         zs = list(np.ascontiguousarray(params.zs, dtype=np.complex128))
     elif algorithm == "asgd":
-        x = np.ascontiguousarray(x)
+        x = np.require(x, requirements="C")
     for i, (conj_row, y) in enumerate(zip(conj_rows, ys)):
         if algorithm == "rls":
             s = _correct(s, alphas[i] * _residual(s, conj_row, y), zs[i])

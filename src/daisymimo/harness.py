@@ -22,16 +22,18 @@ point stops after the first trial at which every algorithm has reached the
 error target; the trials a chunk computed past that point are dropped, so
 the recorded trial and error counts are those of the trial-by-trial rule.
 
-Outputs are :class:`ResultSet` objects: one curve per algorithm, each point
-carrying mean, standard error and trial count, plus the full provenance
-(spec echo, seed, tool version) needed to regenerate them.
+Outputs are :class:`ResultSet` objects: one curve per algorithm (zero
+forcing's MSE is a one-point curve at x = M), each point carrying mean,
+standard error and trial count, plus the full provenance (spec echo, seed,
+tool version) needed to regenerate them. Every mean and standard error comes
+from one trial-order accumulator, :class:`_Moments`.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -264,12 +266,33 @@ def _initial_estimate(spec: ExperimentSpec, k: int, seed: int):
     return np.sqrt(0.5) * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
 
 
-def _mean_stderr(total: np.ndarray, total_sq: np.ndarray, n: int):
-    mean = total / n
-    if n < 2:
-        return mean, np.zeros_like(mean)
-    var = np.maximum(total_sq / n - mean**2, 0.0) * n / (n - 1)
-    return mean, np.sqrt(var / n)
+class _Moments:
+    """Sums of per-trial values at ``width`` curve positions, and the curve points they give.
+
+    :meth:`add` takes ``(T, width)`` rows and adds them one trial at a time in
+    trial order, so the sums do not depend on how the trials were chunked.
+    """
+
+    def __init__(self, width: int):
+        self.n = 0
+        self.total = np.zeros(width)
+        self.total_sq = np.zeros(width)
+
+    def add(self, rows: np.ndarray) -> None:
+        for row in rows:
+            self.total += row
+            self.total_sq += row * row  # correctly rounded; libm pow behind ``float ** 2`` is not always
+        self.n += len(rows)
+
+    def points(self, xs) -> tuple:
+        """One :class:`CurvePoint` per position: mean and standard error of the mean."""
+        n = self.n
+        mean = self.total / n
+        var = np.maximum(self.total_sq / n - mean**2, 0.0) * n / (n - 1) if n > 1 else np.zeros_like(mean)
+        stderr = np.sqrt(var / n)
+        return tuple(
+            CurvePoint(x=x, mean=mu, stderr=se, n_trials=n) for x, mu, se in zip(xs, mean.tolist(), stderr.tolist())
+        )
 
 
 # Experiment tags keep the seed streams of the different kinds disjoint.
@@ -366,7 +389,7 @@ def _squared_errors(alg: AlgorithmSpec, trials: _Trials) -> np.ndarray:
 
 
 def _mse_chunk(spec: ExperimentSpec, const: Constellation, chunk: range) -> dict:
-    """Every algorithm's squared errors on one chunk: ``(T, M)`` per antenna index, ``(T,)`` for ZF.
+    """Every algorithm's squared errors on one chunk: ``(T, M)`` per antenna index, ``(T, 1)`` for ZF.
 
     The chunk's channels and gains die when this returns, before the next
     chunk is drawn.
@@ -376,21 +399,21 @@ def _mse_chunk(spec: ExperimentSpec, const: Constellation, chunk: range) -> dict
     for alg in spec.algorithms:
         if alg.name == "zf":
             est = _estimates(alg, trials)
-            out[alg.label] = np.sum(np.abs(est - trials.symbols) ** 2, axis=-1) / est.shape[-1]
+            out[alg.label] = np.sum(np.abs(est - trials.symbols) ** 2, axis=-1, keepdims=True) / est.shape[-1]
         else:
             out[alg.label] = _squared_errors(alg, trials).T
     return out
 
 
-def _ber_chunk(spec: ExperimentSpec, const: Constellation, j: int, chunk: range) -> dict:
-    """Every algorithm's bit errors per trial, ``(T,)``, on one chunk of SNR point ``j``."""
+def _ber_chunk(spec: ExperimentSpec, const: Constellation, j: int, chunk: range) -> np.ndarray:
+    """Bit errors per trial and algorithm, ``(T, A)`` in spec order, on one chunk of SNR point ``j``."""
     trials = _draw_trials(spec, const, (_TAG_BER, j), chunk, spec.snr_db_grid[j])
     bit_errors = const.bit_distances()
-    counts = {}
+    counts = []
     for alg in spec.algorithms:
         decided = signal_model.hard_decisions(_estimates(alg, trials), const)
-        counts[alg.label] = bit_errors[trials.sent, decided].sum(axis=-1)
-    return counts
+        counts.append(bit_errors[trials.sent, decided].sum(axis=-1))
+    return np.stack(counts, axis=-1)
 
 
 def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
@@ -407,40 +430,15 @@ def run_mse_sweep(spec: ExperimentSpec) -> ResultSet:
     m, k = topo.m_antennas, topo.k_users
     const = Constellation.qam(spec.constellation_order)
 
-    chain_algs = [a for a in spec.algorithms if a.name != "zf"]
-    zf_algs = [a for a in spec.algorithms if a.name == "zf"]
-    totals = {a.label: np.zeros(m) for a in chain_algs}
-    totals_sq = {a.label: np.zeros(m) for a in chain_algs}
-    zf_total = zf_total_sq = 0.0
-
+    moments = {a.label: _Moments(1 if a.name == "zf" else m) for a in spec.algorithms}
     for chunk in _chunks(spec.trials, m, k):
-        errors = _mse_chunk(spec, const, chunk)
-        for alg in chain_algs:
-            for trial_errors in errors[alg.label]:
-                totals[alg.label] += trial_errors
-                totals_sq[alg.label] += trial_errors**2
-        for alg in zf_algs:
-            for mse in errors[alg.label].tolist():
-                zf_total += mse
-                zf_total_sq += mse**2
-
-    curves = []
-    for alg in chain_algs:
-        mean, stderr = _mean_stderr(totals[alg.label], totals_sq[alg.label], spec.trials)
-        points = tuple(
-            CurvePoint(x=n + 1, mean=float(mean[n]), stderr=float(stderr[n]), n_trials=spec.trials)
-            for n in range(m)
-        )
-        curves.append(Curve(label=alg.label, points=points))
-    for alg in zf_algs:
-        mean, stderr = _mean_stderr(np.array([zf_total]), np.array([zf_total_sq]), spec.trials)
-        curves.append(
-            Curve(
-                label=alg.label,
-                points=(CurvePoint(x=m, mean=float(mean[0]), stderr=float(stderr[0]), n_trials=spec.trials),),
-            )
-        )
-    return ResultSet(curves=tuple(curves), spec=spec)
+        for label, errors in _mse_chunk(spec, const, chunk).items():
+            moments[label].add(errors)
+    curves = tuple(
+        Curve(label=a.label, points=moments[a.label].points((m,) if a.name == "zf" else range(1, m + 1)))
+        for a in sorted(spec.algorithms, key=lambda a: a.name == "zf")  # chain algorithms, then ZF
+    )
+    return ResultSet(curves=curves, spec=spec)
 
 
 def run_ber_sweep(spec: ExperimentSpec) -> ResultSet:
@@ -460,37 +458,23 @@ def run_ber_sweep(spec: ExperimentSpec) -> ResultSet:
 
     per_point = {a.label: [] for a in spec.algorithms}
     for j, snr_db in enumerate(spec.snr_db_grid):
-        errors = {a.label: 0 for a in spec.algorithms}
-        frac_sum = {a.label: 0.0 for a in spec.algorithms}
-        frac_sum_sq = {a.label: 0.0 for a in spec.algorithms}
-        trials_done = 0
+        errors = np.zeros(len(spec.algorithms), dtype=np.int64)
+        # Bits within one trial share a fade, so the standard error comes
+        # from the scatter of per-trial error fractions, not a binomial count.
+        fractions = _Moments(len(spec.algorithms))
         for chunk in _chunks(spec.max_trials_per_point, m, k):
             counts = _ber_chunk(spec, const, j, chunk)
             # The point stops after the first trial at which every algorithm
             # has reached the target; trials of the chunk past it are dropped.
-            cumulative = np.array([errors[label] + np.cumsum(c) for label, c in counts.items()])
-            reached = np.all(cumulative >= spec.target_errors, axis=0)
+            reached = np.all(errors + np.cumsum(counts, axis=0) >= spec.target_errors, axis=1)
             used = int(np.argmax(reached)) + 1 if reached.any() else len(chunk)
-            for label, c in counts.items():
-                for n_err in c[:used].tolist():
-                    errors[label] += n_err
-                    frac = n_err / bits_per_vector
-                    frac_sum[label] += frac
-                    frac_sum_sq[label] += frac**2
-            trials_done += used
+            errors += counts[:used].sum(axis=0)
+            fractions.add(counts[:used] / bits_per_vector)
             if reached.any():
                 break
-        bits_total = trials_done * bits_per_vector
-        for alg in spec.algorithms:
-            ber = errors[alg.label] / bits_total
-            # Bits within one trial share a fade, so the standard error comes
-            # from the scatter of per-trial error fractions, not a binomial count.
-            mean, stderr = _mean_stderr(
-                np.array([frac_sum[alg.label]]), np.array([frac_sum_sq[alg.label]]), trials_done
-            )
-            per_point[alg.label].append(
-                CurvePoint(x=float(snr_db), mean=ber, stderr=float(stderr[0]), n_trials=trials_done)
-            )
+        points = fractions.points([float(snr_db)] * len(errors))
+        for pts, point, n_err in zip(per_point.values(), points, errors.tolist()):
+            pts.append(replace(point, mean=n_err / (point.n_trials * bits_per_vector)))
     curves = tuple(Curve(label=label, points=tuple(pts)) for label, pts in per_point.items())
     return ResultSet(curves=curves, spec=spec)
 
@@ -537,11 +521,10 @@ def run_simulation(spec: ExperimentSpec):
             power_save=spec.power_save,
             cost=cost,
         )
-        points = []
-        for r, est in enumerate(outputs):
-            err = float(np.sum(np.abs(est.values - symbol_vectors[r]) ** 2) / k)
-            points.append(CurvePoint(x=r, mean=err, stderr=0.0, n_trials=1))
-        curves.append(Curve(label=alg.label, points=tuple(points)))
+        errors = np.sum(np.abs(np.stack([est.values for est in outputs]) - symbol_vectors) ** 2, axis=-1) / k
+        per_re = _Moments(spec.re_count)
+        per_re.add(errors[None])  # each RE is one trial of its own curve point
+        curves.append(Curve(label=alg.label, points=per_re.points(range(spec.re_count))))
         timelines[alg.label] = timeline
     return ResultSet(curves=tuple(curves), spec=spec), timelines
 

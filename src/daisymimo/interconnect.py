@@ -248,15 +248,9 @@ class RateReport:
             lines.append(row.rstrip())
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path_or_buffer) -> None:
+    def to_csv(self, path) -> None:
         """Write one row per scenario: geometry, model bits/s, display cells."""
-        close = False
-        if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-            fh = open(path_or_buffer, "w", newline="")
-            close = True
-        else:
-            fh = path_or_buffer
-        try:
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             header = ["m", "k", "c", "b", "n_iter"]
             header += [f"{name}_bits_per_s" for name in RATE_NAMES]
@@ -268,9 +262,6 @@ class RateReport:
                 row += [repr(col.rates[name]) for name in RATE_NAMES]
                 row += [str(col.cells[name]) for name in RATE_NAMES]
                 writer.writerow(row)
-        finally:
-            if close:
-                fh.close()
 
 
 def comparison_table(

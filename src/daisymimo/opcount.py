@@ -10,9 +10,8 @@ contracted length. Per step that reads 2K (prediction error, correction); per
 preprocessing antenna 2K^2 + K (surrogate matvec, quadratic form, rank-one
 outer product), once per channel of a batched ``gamma_update``. At K = 1 the
 correction is written in real arithmetic (``detectors._k1_product``), so a
-step reads 1. ``absorb`` and ``rls_preprocess`` share these helpers but drop
-the view through ``np.ascontiguousarray``/``np.asarray``, so counts are taken
-on the step functions and ``gamma_update``.
+step reads 1. The batched ``absorb`` and ``rls_preprocess`` keep the view, so
+they read these counts once per batch element.
 """
 
 from __future__ import annotations

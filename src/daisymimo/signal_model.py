@@ -26,7 +26,6 @@ __all__ = [
     "ChannelMatrix",
     "Constellation",
     "ReceivedVector",
-    "UserSymbolVector",
     "demodulate_hard",
     "generate_rayleigh_channel",
     "hard_decisions",
@@ -130,13 +129,6 @@ def _label_tables(bit_labels: tuple) -> tuple:
 
 
 @dataclass(frozen=True)
-class UserSymbolVector:
-    """K transmitted symbols."""
-
-    symbols: np.ndarray
-
-
-@dataclass(frozen=True)
 class ReceivedVector:
     """M received samples plus the noise variance they were generated with."""
 
@@ -162,7 +154,7 @@ def generate_rayleigh_channel(m: int, k: int, rng_seed: int) -> ChannelMatrix:
     return ChannelMatrix(entries)
 
 
-def modulate(bits: str, constellation: Constellation, k: int) -> UserSymbolVector:
+def modulate(bits: str, constellation: Constellation, k: int) -> np.ndarray:
     """Map a bit string onto K constellation symbols, ``bits_per_symbol`` bits each.
 
     Symbol ``i`` carries ``bits[i*b:(i+1)*b]`` where ``b`` is the constellation's
@@ -174,8 +166,7 @@ def modulate(bits: str, constellation: Constellation, k: int) -> UserSymbolVecto
     if set(bits) - {"0", "1"}:
         raise ValueError("bit string may contain only '0' and '1'")
     bit_values = np.frombuffer(bits.encode(), np.uint8) - ord("0")
-    symbols = constellation.points[constellation.point_indices(bit_values)]
-    return UserSymbolVector(symbols=symbols)
+    return constellation.points[constellation.point_indices(bit_values)]
 
 
 def demodulate_hard(estimate, constellation: Constellation) -> str:
@@ -212,7 +203,7 @@ def transmit(h: ChannelMatrix, s, snr_db: float, rng_seed: int) -> ReceivedVecto
     ``snr_db = inf`` selects the noiseless mode (zero noise variance, no draw).
     Deterministic for a fixed seed.
     """
-    symbols = np.asarray(getattr(s, "symbols", s))
+    symbols = np.asarray(s)
     if symbols.shape != (h.k_users,):
         raise ValueError(f"symbol vector shape {symbols.shape} does not match K={h.k_users}")
     clean = h.entries @ symbols

@@ -216,6 +216,34 @@ class TestMalformedConfigs:
         assert err == "error: trials must be >= 1, got 0\n"
 
 
+class TestBadPaths:
+    """An unreadable config or an unwritable output path ends in exit code 2 and one ``error:`` line."""
+
+    def _exit_2_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._exit_2_with_one_line(["rate-table", "--config", str(tmp_path)], capsys)
+
+    def test_timeline_is_a_directory(self, tmp_path, capsys):
+        argv = ["simulate", "--config", str(CONFIGS_DIR / "simulate_chain.json"), "--timeline", str(tmp_path)]
+        self._exit_2_with_one_line(argv, capsys)
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg = _write_config(
+            tmp_path,
+            {"kind": "mse_sweep", "topology": {"m": 4, "k": 2}, "algorithms": [{"name": "zf"}], "trials": 2},
+        )
+        self._exit_2_with_one_line(["mse-sweep", "--config", cfg, "--out", cfg], capsys)
+
+    def test_config_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes('{"kind": "rate_table", "note": "\u00e9"}'.encode("latin-1"))
+        self._exit_2_with_one_line(["rate-table", "--config", str(cfg)], capsys)
+
+
 class TestSimulateCommand:
     def test_timeline_written(self, tmp_path, capsys):
         cfg = _write_config(

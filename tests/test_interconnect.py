@@ -2,7 +2,6 @@
 canonical comparison table."""
 
 import csv
-import io
 
 import pytest
 
@@ -175,10 +174,11 @@ class TestComparisonTable:
             for cell in cells:
                 assert cell in text
 
-    def test_csv_export(self):
-        buffer = io.StringIO()
-        comparison_table().to_csv(buffer)
-        rows = list(csv.DictReader(io.StringIO(buffer.getvalue())))
+    def test_csv_export(self, tmp_path):
+        path = tmp_path / "rates.csv"
+        comparison_table().to_csv(path)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert rows[0]["sgd_display"] == "439MB/s"
         assert float(rows[0]["sgd_bits_per_s"]) == rate_sgd(DEFAULTS, 16)

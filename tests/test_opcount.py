@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from daisymimo import detectors
-from daisymimo.detectors import AsgdState, EstimateVector
+from daisymimo.detectors import AsgdParams, AsgdState, ChainState, EstimateVector, SgdParams
 from daisymimo.opcount import (
     OpCounter,
+    _counted,
     counted_asgd_step,
     counted_gamma_update,
     counted_rls_step,
@@ -66,6 +67,44 @@ class TestCountsScale:
         rec = counted_sgd_step(prev, _row(k, 10), 0.1 + 0j, 0.05, counter)
         counted_sgd_step(rec.estimate_after, _row(k, 11), 0.1 + 0j, 0.05, counter)
         assert counter.complex_mults == 4 * k
+
+
+@pytest.mark.parametrize("t", [1, 5])
+@pytest.mark.parametrize("k", [8, 16])
+class TestBatchedKernelsCount:
+    """The batched kernels the sweeps and the slot simulator run count on tallying views too."""
+
+    B = 6  # antennas per call
+
+    def _rows(self, k, t):
+        rng = np.random.default_rng(10 * k + t)
+        return (rng.standard_normal((self.B, t, k)) + 1j * rng.standard_normal((self.B, t, k))) / np.sqrt(2)
+
+    @pytest.mark.parametrize("algorithm", ["rls", "sgd", "asgd"])
+    def test_absorb_reads_2k_per_antenna_and_element(self, algorithm, k, t):
+        rows, priors = self._rows(k, t), self._rows(k, t + 1)[0, :t]
+        ys = rows.sum(axis=-1).T  # (t, B) observations
+        params = {
+            "rls": detectors.rls_preprocess(rows), "sgd": SgdParams(mu=0.05), "asgd": AsgdParams(mu=0.05, n0=3),
+        }[algorithm]
+        state = ChainState.start(algorithm, priors)
+        counter = OpCounter()
+        counted = _counted(detectors.absorb, counter, algorithm, state, rows, ys, params)
+        plain = detectors.absorb(algorithm, state, rows, ys, params)
+        assert counter.complex_mults == self.B * t * 2 * k
+        assert type(counted.s) is np.ndarray
+        np.testing.assert_array_equal(counted.s, plain.s)
+        np.testing.assert_array_equal(counted.x, plain.x)
+
+    def test_rls_preprocess_reads_2k2_plus_k_per_antenna_and_channel(self, k, t):
+        rows = self._rows(k, t)
+        counter = OpCounter()
+        counted = _counted(detectors.rls_preprocess, counter, rows)
+        plain = detectors.rls_preprocess(rows)
+        assert counter.complex_mults == self.B * t * (2 * k * k + k)
+        for c, p in zip((counted.alphas, counted.zs, counted.gamma_final), (plain.alphas, plain.zs, plain.gamma_final)):
+            assert type(c) is np.ndarray
+            np.testing.assert_array_equal(c, p)
 
 
 class TestCountedMirrorsProduction:
