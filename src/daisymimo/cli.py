@@ -1,8 +1,8 @@
 """``mimo`` command line: Monte Carlo sweeps, rate tables and slot simulations.
 
 Each sweep subcommand reads a JSON experiment config, runs it, and writes one
-CSV per curve plus a ``manifest.json`` (spec echo, seed, tool version, wall
-time) into the output directory.
+CSV per curve plus a ``manifest.json`` (the spec as a loadable config, seed, tool
+version, wall time) into the output directory.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 from dataclasses import replace
 
 from . import __version__, harness
-from .config import ConfigError, load_spec
+from .config import ConfigError, load_spec, spec_to_dict
 from .interconnect import comparison_table
 
 __all__ = ["main"]
@@ -25,7 +25,6 @@ def _add_common(parser, kind: str) -> None:
     parser.add_argument("--config", required=True, help=f"JSON config with kind={kind!r}")
     parser.add_argument("--out", required=True, help="output directory for CSVs and manifest")
     parser.add_argument("--seed", type=int, default=None, help="override the config's master seed")
-    parser.add_argument("--trials", type=int, default=None, help="override the config's trial count")
 
 
 def _load(args, kind: str):
@@ -45,14 +44,26 @@ def _load(args, kind: str):
 
 def _write_outputs(result, out_dir: str, wall_time: float) -> None:
     paths = result.write_csv(out_dir)
-    result.write_manifest(os.path.join(out_dir, "manifest.json"), wall_time)
+    manifest = {
+        "schema_version": harness.CSV_SCHEMA_VERSION,
+        "tool_version": result.tool_version,
+        "master_seed": result.spec.master_seed,
+        "wall_time_s": wall_time,
+        "spec": spec_to_dict(result.spec),
+        "curves": [c.label for c in result.curves],
+    }
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
     for path in paths:
         print(f"wrote {path}")
-    print(f"wrote {os.path.join(out_dir, 'manifest.json')}")
+    print(f"wrote {manifest_path}")
 
 
 def _cmd_sweep(args, kind: str) -> int:
     spec = _load(args, kind)
+    os.makedirs(args.out, exist_ok=True)  # an unusable output path fails here, before the run
     start = time.perf_counter()
     result = harness.run_experiment(spec)
     wall = time.perf_counter() - start
@@ -75,19 +86,20 @@ def _cmd_rate_table(args) -> int:
 
 def _cmd_simulate(args) -> int:
     spec = _load(args, "simulate")
+    root, ext = os.path.splitext(args.timeline)
+    paths = {a.label: f"{root}.{harness.Curve(a.label, ()).slug}{ext or '.csv'}" for a in spec.algorithms}
+    if len(paths) == 1:
+        paths = dict.fromkeys(paths, args.timeline)
+    for path in paths.values():  # unusable output paths fail here, before the run
+        open(path, "a").close()
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
     start = time.perf_counter()
     result, timelines = harness.run_simulation(spec)
     wall = time.perf_counter() - start
     if args.out is not None:
         _write_outputs(result, args.out, wall)
-    labels = list(timelines)
-    for label in labels:
-        if len(labels) == 1:
-            path = args.timeline
-        else:
-            root, ext = os.path.splitext(args.timeline)
-            slug = result.curve(label).slug
-            path = f"{root}.{slug}{ext or '.csv'}"
+    for label, path in paths.items():
         timelines[label].to_csv(path)
         report = timelines[label]
         print(
@@ -108,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mse-sweep", help="MSE vs antenna index Monte Carlo sweep")
     _add_common(p, "mse_sweep")
+    p.add_argument("--trials", type=int, default=None, help="override the config's trial count")
     p.set_defaults(func=lambda a: _cmd_sweep(a, "mse_sweep"))
 
     p = sub.add_parser("ber-sweep", help="BER vs SNR Monte Carlo sweep")
@@ -117,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rate-table", help="interconnect data-rate comparison table")
     p.add_argument("--config", default=None, help="JSON config with kind='rate_table' (default: canonical scenarios)")
     p.add_argument("--csv", default=None, help="also write the table as CSV")
-    p.add_argument("--out", default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_rate_table)
 
     p = sub.add_parser("simulate", help="daisy-chain slot simulation with timeline export")

@@ -1,41 +1,31 @@
 """Strict JSON config files mirroring :class:`daisymimo.harness.ExperimentSpec`.
 
-Keys map one-to-one onto the spec fields; unknown keys anywhere are errors so
-typos fail loudly instead of silently running a different experiment. Values
-are type-checked here (integer fields take JSON integers, real fields finite
-numbers); range checks live in the spec classes, so both surface as a
-:class:`ConfigError` at load time, before anything runs.
+Each config object (the spec, its topology, frame, algorithms, power save and
+rate scenarios) is one table from JSON key to ``(constructor argument, check)``.
+One reader walks the tables: unknown keys anywhere are errors, so typos fail
+loudly instead of silently running a different experiment, and a key is
+required when its argument has no default. The checks test types (integer
+fields take JSON integers, real fields finite numbers); the spec classes check
+ranges, and both surface as a :class:`ConfigError` before anything runs. One
+writer, :func:`spec_to_dict`, walks the same tables back.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 import json
 import math
+import sys
 
 from .chain_sim import PowerSavePolicy, TopologyConfig
 from .harness import AlgorithmSpec, ExperimentSpec
-from .interconnect import TABLE_SCENARIOS, FrameConfig, RateScenario
+from .interconnect import FrameConfig, RateScenario
 
-__all__ = ["ConfigError", "load_spec", "spec_from_dict"]
+__all__ = ["ConfigError", "load_spec", "spec_from_dict", "spec_to_dict"]
 
 
 class ConfigError(ValueError):
     """Malformed experiment config."""
-
-
-def _require_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _build(factory, where: str, /, *args, **kwargs):
-    """Construct a spec object, reporting validation failures as config errors."""
-    try:
-        return factory(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _integer(value, where: str) -> int:
@@ -45,118 +35,124 @@ def _integer(value, where: str) -> int:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # Python compares an int with a float exactly, so an integer too large for a float fails here, not in float().
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
 
-def _check_keys(data: dict, allowed, where: str) -> None:
-    unknown = set(data) - set(allowed)
+def _threshold(value, where: str) -> float:
+    return math.inf if value == "inf" else _number(value, where)
+
+
+def _any(value, where: str):
+    return value  # the spec class checks it
+
+
+def _list_of(check):
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {type(value).__name__}")
+        return tuple(check(item, f"{where}[{i}]") for i, item in enumerate(value))
+
+    return read
+
+
+def _object(cls):
+    return lambda value, where: _read(_TABLES[cls], value, where)
+
+
+def _topology(m_antennas, k_users, c_clusters=None, b_per_cluster=None) -> TopologyConfig:
+    """M antennas and K users in C clusters of B; either of C and B follows from the other, and C=1 when both are absent."""
+    if b_per_cluster is None:
+        return TopologyConfig.from_clusters(m_antennas, k_users, 1 if c_clusters is None else c_clusters)
+    if c_clusters is None:
+        if b_per_cluster < 1 or m_antennas % b_per_cluster:
+            raise ValueError(f"M={m_antennas} cannot be split into clusters of B={b_per_cluster}")
+        c_clusters = m_antennas // b_per_cluster
+    return TopologyConfig(m_antennas, k_users, c_clusters, b_per_cluster)
+
+
+def _table(build, **keys) -> tuple:
+    """``(build, keys, required)`` for one config object: ``keys`` maps JSON key -> (argument of ``build``, check)."""
+    params = inspect.signature(build).parameters
+    return build, keys, {key for key, (arg, _) in keys.items() if params[arg].default is inspect.Parameter.empty}
+
+
+def _read(table: tuple, data, where: str):
+    """Build the object ``table`` describes from ``data``; ``where`` is its path in the config, "" at the top."""
+    build, keys, required = table
+    name = where or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{name} must be an object, got {type(data).__name__}")
+    unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _topology(data) -> TopologyConfig:
-    data = _require_mapping(data, "topology")
-    _check_keys(data, {"m", "k", "c", "b"}, "topology")
-    missing = {"m", "k"} - set(data)
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+    missing = required - set(data)
     if missing:
-        raise ConfigError(f"topology is missing key(s): {', '.join(sorted(missing))}")
-    m, k = _integer(data["m"], "topology.m"), _integer(data["k"], "topology.k")
-    if "c" in data:
-        c = _integer(data["c"], "topology.c")
-        if "b" in data and _integer(data["b"], "topology.b") * c != m:
-            raise ConfigError(f"topology has M={m} but C*B={c * data['b']}")
-        return _build(TopologyConfig.from_clusters, "topology", m, k, c)
-    return _build(TopologyConfig, "topology", m_antennas=m, k_users=k, c_clusters=1, b_per_cluster=m)
-
-
-def _frame(data) -> FrameConfig:
-    data = _require_mapping(data, "frame")
-    allowed = {"t_slot", "n_slot", "n_ul", "n_u", "s_cb", "w_s", "w_gamma", "w_sc"}
-    _check_keys(data, allowed, "frame")
-    values = {key: (_number if key == "t_slot" else _integer)(v, f"frame.{key}") for key, v in data.items()}
-    return _build(FrameConfig, "frame", **values)
-
-
-def _algorithm(data, index: int) -> AlgorithmSpec:
-    where = f"algorithms[{index}]"
-    data = _require_mapping(data, where)
-    _check_keys(data, {"name", "mu", "n0"}, where)
-    if "name" not in data:
-        raise ConfigError(f"{where} is missing 'name'")
-    mu = _number(data["mu"], f"{where}.mu") if "mu" in data else None
-    n0 = _integer(data["n0"], f"{where}.n0") if "n0" in data else None
-    return _build(AlgorithmSpec, where, name=data["name"], mu=mu, n0=n0)
-
-
-def _power_save(data) -> PowerSavePolicy:
-    data = _require_mapping(data, "power_save")
-    _check_keys(data, {"policy", "threshold"}, "power_save")
-    if "policy" not in data or "threshold" not in data:
-        raise ConfigError("power_save needs both 'policy' and 'threshold'")
-    threshold = data["threshold"]
-    threshold = math.inf if threshold == "inf" else _number(threshold, "power_save.threshold")
-    return _build(PowerSavePolicy, "power_save", mode=data["policy"], threshold=threshold)
-
-
-def _scenario(data, index: int) -> RateScenario:
-    where = f"scenarios[{index}]"
-    data = _require_mapping(data, where)
-    _check_keys(data, {"m", "k", "c", "b", "n_iter"}, where)
-    missing = {"m", "k", "c", "b"} - set(data)
-    if missing:
-        raise ConfigError(f"{where} is missing key(s): {', '.join(sorted(missing))}")
-    return _build(RateScenario, where, **{key: _integer(value, f"{where}.{key}") for key, value in data.items()})
-
-
-_TOP_LEVEL_KEYS = {f.name for f in dataclasses.fields(ExperimentSpec)}
-
-
-def spec_from_dict(data: dict) -> ExperimentSpec:
-    data = _require_mapping(data, "config")
-    _check_keys(data, _TOP_LEVEL_KEYS, "config")
-    if "kind" not in data:
-        raise ConfigError("config is missing 'kind'")
-    kwargs = {"kind": data["kind"]}
-    if "topology" in data:
-        kwargs["topology"] = _topology(data["topology"])
-    if "frame" in data:
-        kwargs["frame"] = _frame(data["frame"])
-    if "algorithms" in data:
-        if not isinstance(data["algorithms"], list):
-            raise ConfigError("algorithms must be a list")
-        kwargs["algorithms"] = tuple(_algorithm(a, i) for i, a in enumerate(data["algorithms"]))
-    if "power_save" in data:
-        kwargs["power_save"] = _power_save(data["power_save"])
-    if "scenarios" in data:
-        if not isinstance(data["scenarios"], list):
-            raise ConfigError("scenarios must be a list")
-        kwargs["scenarios"] = tuple(_scenario(s, i) for i, s in enumerate(data["scenarios"]))
-    if "snr_db_grid" in data:
-        if not isinstance(data["snr_db_grid"], list):
-            raise ConfigError("snr_db_grid must be a list")
-        kwargs["snr_db_grid"] = tuple(_number(v, f"snr_db_grid[{i}]") for i, v in enumerate(data["snr_db_grid"]))
-    if "snr_db" in data:
-        kwargs["snr_db"] = _number(data["snr_db"], "snr_db")
-    for key in (
-        "constellation_order", "trials", "master_seed", "re_count", "target_errors",
-        "max_trials_per_point", "re_ticks", "prep_ticks",
-    ):
-        if key in data:
-            kwargs[key] = _integer(data[key], key)
-    if "s0_mode" in data:
-        kwargs["s0_mode"] = data["s0_mode"]
+        raise ConfigError(f"{name} is missing key(s): {', '.join(sorted(missing))}")
+    prefix = f"{where}." if where else ""
+    kwargs = {arg: check(data[key], prefix + key) for key, (arg, check) in keys.items() if key in data}
     try:
-        return ExperimentSpec(**kwargs)
+        return build(**kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{where}: {exc}" if where else str(exc)) from exc
+
+
+# Keyed by the class each table builds; ``spec_to_dict`` finds a value's table by its type.
+_TABLES = {
+    TopologyConfig: _table(
+        _topology, m=("m_antennas", _integer), k=("k_users", _integer), c=("c_clusters", _integer),
+        b=("b_per_cluster", _integer),
+    ),
+    FrameConfig: _table(
+        FrameConfig, t_slot=("t_slot", _number),
+        **{key: (key, _integer) for key in ("n_slot", "n_ul", "n_u", "s_cb", "w_s", "w_gamma", "w_sc")},
+    ),
+    AlgorithmSpec: _table(AlgorithmSpec, name=("name", _any), mu=("mu", _number), n0=("n0", _integer)),
+    PowerSavePolicy: _table(PowerSavePolicy, policy=("mode", _any), threshold=("threshold", _threshold)),
+    RateScenario: _table(RateScenario, **{key: (key, _integer) for key in ("m", "k", "c", "b", "n_iter")}),
+    ExperimentSpec: _table(
+        ExperimentSpec,
+        kind=("kind", _any),
+        topology=("topology", _object(TopologyConfig)),
+        algorithms=("algorithms", _list_of(_object(AlgorithmSpec))),
+        frame=("frame", _object(FrameConfig)),
+        snr_db=("snr_db", _number),
+        snr_db_grid=("snr_db_grid", _list_of(_number)),
+        s0_mode=("s0_mode", _any),
+        power_save=("power_save", _object(PowerSavePolicy)),
+        scenarios=("scenarios", _list_of(_object(RateScenario))),
+        **{key: (key, _integer) for key in (
+            "constellation_order", "trials", "master_seed", "re_count", "target_errors", "max_trials_per_point",
+            "re_ticks", "prep_ticks",
+        )},
+    ),
+}
+
+
+def spec_from_dict(data) -> ExperimentSpec:
+    return _read(_TABLES[ExperimentSpec], data, "")
+
+
+def _to_json(value):
+    if type(value) in _TABLES:
+        items = ((key, getattr(value, arg)) for key, (arg, _) in _TABLES[type(value)][1].items())
+        return {key: _to_json(v) for key, v in items if v is not None}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return "inf" if isinstance(value, float) and value == math.inf else value
+
+
+def spec_to_dict(spec: ExperimentSpec) -> dict:
+    """The config that :func:`spec_from_dict` reads back as ``spec``; absent optional values are left out."""
+    return _to_json(spec)
 
 
 def load_spec(path) -> ExperimentSpec:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit of int()
             raise ConfigError(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return spec_from_dict(data)

@@ -24,16 +24,15 @@ the recorded trial and error counts are those of the trial-by-trial rule.
 
 Outputs are :class:`ResultSet` objects: one curve per algorithm (zero
 forcing's MSE is a one-point curve at x = M), each point carrying mean,
-standard error and trial count, plus the full provenance (spec echo, seed,
-tool version) needed to regenerate them. Every mean and standard error comes
-from one trial-order accumulator, :class:`_Moments`.
+standard error and trial count, plus the spec and tool version that produced
+them (the ``mimo`` command echoes both into ``manifest.json``). Every mean and
+standard error comes from one trial-order accumulator, :class:`_Moments`.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -98,14 +97,6 @@ class AlgorithmSpec:
             return AsgdParams(mu=self.mu, n0=self.n0)
         return None
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name}
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.n0 is not None:
-            out["n0"] = self.n0
-        return out
-
 
 _INT_FIELD_MINIMA = (
     ("trials", 1), ("target_errors", 1), ("max_trials_per_point", 1), ("re_count", 1),
@@ -154,6 +145,8 @@ class ExperimentSpec:
                 raise ValueError(f"need M >= K >= 1, got M={self.topology.m_antennas}, K={self.topology.k_users}")
             if not self.algorithms:
                 raise ValueError(f"{self.kind} needs at least one algorithm")
+        if self.kind == "rate_table" and self.frame.n_ul < 1:
+            raise ValueError(f"rate_table needs frame.n_ul >= 1, got {self.frame.n_ul}")
         if self.kind == "ber_sweep" and not self.snr_db_grid:
             raise ValueError("ber_sweep needs a non-empty snr_db_grid")
         if self.kind == "simulate":
@@ -163,22 +156,6 @@ class ExperimentSpec:
         labels = [a.label for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ValueError("algorithm labels must be unique")
-
-    def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(
-            snr_db_grid=list(self.snr_db_grid),
-            algorithms=[a.to_dict() for a in self.algorithms],
-            frame=asdict(self.frame),
-            scenarios=[asdict(s) for s in self.scenarios],
-        )
-        del out["topology"], out["power_save"]
-        if self.topology is not None:
-            t = self.topology
-            out["topology"] = {"m": t.m_antennas, "k": t.k_users, "c": t.c_clusters, "b": t.b_per_cluster}
-        if self.power_save is not None:
-            out["power_save"] = {"policy": self.power_save.mode, "threshold": self.power_save.threshold}
-        return out
 
 
 @dataclass(frozen=True)
@@ -204,7 +181,7 @@ class Curve:
 
 @dataclass(frozen=True)
 class ResultSet:
-    """Experiment output: curves plus provenance (spec echo, seed, version)."""
+    """Experiment output: curves plus the spec and tool version that produced them."""
 
     curves: tuple
     spec: ExperimentSpec
@@ -230,21 +207,6 @@ class ResultSet:
                     fh.write(f"{p.x!r},{p.mean!r},{p.stderr!r},{p.n_trials},{CSV_SCHEMA_VERSION}\n")
             paths.append(path)
         return paths
-
-    def manifest(self, wall_time_s: float) -> dict:
-        return {
-            "schema_version": CSV_SCHEMA_VERSION,
-            "tool_version": self.tool_version,
-            "master_seed": self.spec.master_seed,
-            "wall_time_s": wall_time_s,
-            "spec": self.spec.to_dict(),
-            "curves": [c.label for c in self.curves],
-        }
-
-    def write_manifest(self, path, wall_time_s: float) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.manifest(wall_time_s), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def derive_seeds(master_seed: int, path: tuple, count: int) -> list:

@@ -194,8 +194,8 @@ class RateScenario:
     def __post_init__(self):
         if self.m != self.c * self.b:
             raise ValueError(f"M={self.m} is not C*B={self.c}*{self.b}")
-        if self.k < 1 or self.n_iter < 1:
-            raise ValueError("k and n_iter must be >= 1")
+        if min(self.k, self.c, self.b, self.n_iter) < 1:
+            raise ValueError("k, c, b and n_iter must be >= 1")
 
 
 TABLE_SCENARIOS = (

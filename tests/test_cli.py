@@ -8,9 +8,11 @@ from dataclasses import replace
 
 import pytest
 
-from daisymimo.cli import main
-from daisymimo.config import load_spec
-from daisymimo.harness import run_ber_sweep
+from daisymimo import harness
+from daisymimo.chain_sim import TopologyConfig
+from daisymimo.cli import _write_outputs, main
+from daisymimo.config import load_spec, spec_from_dict, spec_to_dict
+from daisymimo.harness import AlgorithmSpec, ExperimentSpec, run_ber_sweep, run_mse_sweep
 
 CONFIGS_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -97,6 +99,23 @@ class TestRateTableCommand:
         out = capsys.readouterr().out
         assert "439MB/s" in out
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"scenarios": [{"m": 0, "k": 1, "c": 0, "b": 5}]}, {"frame": {"n_ul": 0}}],
+        ids=lambda o: json.dumps(o),
+    )
+    def test_malformed_config_exits_2_with_one_line(self, override, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"kind": "rate_table", **override})
+        assert main(["rate-table", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["rate-table", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+
 
 class TestSweepCommands:
     def test_mse_sweep_writes_csv_and_manifest(self, tmp_path, capsys):
@@ -149,6 +168,12 @@ class TestSweepCommands:
         with open(out_dir / "zf.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
+
+    def test_ber_sweep_has_no_trials_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ber-sweep", "--config", "ber.json", "--out", str(tmp_path / "out"), "--trials", "3"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
     def test_kind_mismatch_is_an_error(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {"kind": "rate_table"})
@@ -209,6 +234,13 @@ class TestMalformedConfigs:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(self.BASE)[:-1] + ', "trials": ' + "1" * 5000 + "}")
+        assert main(["ber-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bad_trials_override(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, {**self.BASE, "kind": "mse_sweep"})
         assert main(["mse-sweep", "--config", cfg, "--out", str(tmp_path / "out"), "--trials", "0"]) == 2
@@ -237,6 +269,27 @@ class TestBadPaths:
             {"kind": "mse_sweep", "topology": {"m": 4, "k": 2}, "algorithms": [{"name": "zf"}], "trials": 2},
         )
         self._exit_2_with_one_line(["mse-sweep", "--config", cfg, "--out", cfg], capsys)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mse-sweep", "--config", str(CONFIGS_DIR / "mse_m256.json"), "--out", "{file}"],
+            ["simulate", "--config", str(CONFIGS_DIR / "simulate_chain.json"), "--timeline", "{dir}"],
+            ["simulate", "--config", str(CONFIGS_DIR / "simulate_chain.json"), "--timeline", "{dir}/t.csv",
+             "--out", "{file}"],
+        ],
+        ids=["sweep-out", "simulate-timeline", "simulate-out"],
+    )
+    def test_output_paths_checked_before_the_run(self, command, tmp_path, capsys, monkeypatch):
+        def unreachable(spec):
+            raise AssertionError("the experiment ran before its output paths were checked")
+
+        monkeypatch.setattr(harness, "run_experiment", unreachable)
+        monkeypatch.setattr(harness, "run_simulation", unreachable)
+        existing = tmp_path / "existing.txt"
+        existing.write_text("")
+        argv = [arg.format(file=existing, dir=tmp_path) for arg in command]
+        self._exit_2_with_one_line(argv, capsys)
 
     def test_config_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.json"
@@ -295,3 +348,37 @@ class TestSimulateCommand:
         ]) == 0
         assert (out_dir / "manifest.json").exists()
         assert (out_dir / "rls.csv").exists()
+
+
+class TestManifest:
+    def test_manifest_contents(self, tmp_path):
+        spec = ExperimentSpec(
+            kind="mse_sweep",
+            topology=TopologyConfig.from_clusters(16, 4, 4),
+            algorithms=(AlgorithmSpec("sgd", mu=0.05), AlgorithmSpec("rls"), AlgorithmSpec("zf")),
+            trials=2,
+            master_seed=3,
+        )
+        _write_outputs(run_mse_sweep(spec), str(tmp_path), wall_time=1.25)
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        assert data["master_seed"] == 3
+        assert data["wall_time_s"] == 1.25
+        assert data["spec"]["kind"] == "mse_sweep"
+        assert data["spec"]["topology"] == {"m": 16, "k": 4, "c": 4, "b": 4}
+        assert "sgd(mu=0.05)" in data["curves"]
+        assert data["tool_version"]
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS_DIR.glob("*.json")))
+    def test_spec_echo_loads_as_the_same_spec(self, name):
+        spec = load_spec(CONFIGS_DIR / name)
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec), allow_nan=False))) == spec
+
+    def test_infinite_threshold_echo_loads_back(self, tmp_path, capsys):
+        cfg = json.loads((CONFIGS_DIR / "simulate_chain.json").read_text())
+        cfg["power_save"]["threshold"] = "inf"
+        path = _write_config(tmp_path, cfg)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", path, "--timeline", str(tmp_path / "t.csv"), "--out", str(out_dir)]) == 0
+        echo = json.loads((out_dir / "manifest.json").read_text())["spec"]
+        assert echo["power_save"] == {"policy": "freeze", "threshold": "inf"}
+        assert spec_from_dict(echo) == load_spec(path)

@@ -1,17 +1,21 @@
 """Tests for the Monte Carlo harness: reproducibility, sweep semantics,
 calibration against a fading BER oracle, and config parsing."""
 
+import copy
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from daisymimo import config as config_mod
 from daisymimo import detectors, harness, signal_model
 from daisymimo.chain_sim import PowerSavePolicy, TopologyConfig
-from daisymimo.config import ConfigError, load_spec, spec_from_dict
+from daisymimo.config import ConfigError, load_spec, spec_from_dict, spec_to_dict
 from daisymimo.harness import (
     AlgorithmSpec,
     ExperimentSpec,
@@ -354,18 +358,6 @@ class TestResultSetOutputs:
         assert rows[0]["schema_version"] == "1"
         assert float(rows[0]["mean"]) >= 0
 
-    def test_manifest_contents(self, tmp_path):
-        res = run_mse_sweep(_mse_spec(trials=2))
-        path = tmp_path / "manifest.json"
-        res.write_manifest(path, wall_time_s=1.25)
-        data = json.loads(path.read_text())
-        assert data["master_seed"] == 3
-        assert data["wall_time_s"] == 1.25
-        assert data["spec"]["kind"] == "mse_sweep"
-        assert data["spec"]["topology"] == {"m": 16, "k": 4, "c": 4, "b": 4}
-        assert "sgd(mu=0.05)" in data["curves"]
-        assert data["tool_version"]
-
     def test_curve_lookup_error(self):
         res = run_mse_sweep(_mse_spec(trials=2))
         with pytest.raises(KeyError):
@@ -390,7 +382,7 @@ class TestConfig:
 
     def test_roundtrip_through_to_dict(self):
         spec = spec_from_dict(self._config())
-        again = spec_from_dict({**spec.to_dict()})
+        again = spec_from_dict(spec_to_dict(spec))
         assert spec == again
 
     def test_unknown_top_level_key(self):
@@ -416,6 +408,16 @@ class TestConfig:
         cfg["topology"] = {"m": 16, "k": 4, "c": 4, "b": 3}
         with pytest.raises(ConfigError):
             spec_from_dict(cfg)
+
+    def test_topology_cluster_count_follows_from_b(self):
+        cfg = self._config()
+        cfg["topology"] = {"m": 8, "k": 2, "b": 4}
+        topo = spec_from_dict(cfg).topology
+        assert (topo.c_clusters, topo.b_per_cluster) == (2, 4)
+        for b in (3, 0, -4):
+            cfg["topology"] = {"m": 8, "k": 2, "b": b}
+            with pytest.raises(ConfigError, match="B="):
+                spec_from_dict(cfg)
 
     def test_power_save_parsing(self):
         cfg = self._config()
@@ -446,3 +448,46 @@ class TestConfig:
         cfg["algorithms"] = [{"name": "sgd"}]
         with pytest.raises(ConfigError):
             spec_from_dict(cfg)
+
+
+def _key_paths(value, path=()):
+    """The path of every object key inside ``value``, through nested objects and lists."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from _key_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _key_paths(item, path + (i,))
+
+
+_SHIPPED_CONFIGS = [
+    json.loads(p.read_text()) for p in sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+]
+_REPLACEABLE = [(i, path) for i, cfg in enumerate(_SHIPPED_CONFIGS) for path in _key_paths(cfg)]
+_JSON_KEYS = sorted({path[-1] for _, path in _REPLACEABLE})
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.just(10**400) | st.floats() | st.text(max_size=4)
+_JSON_VALUES = (
+    _JSON_SCALARS
+    | st.lists(_JSON_SCALARS, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS) | st.text(max_size=4), _JSON_SCALARS, max_size=3)
+)
+
+
+class TestConfigFuzz:
+    @seed(26)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(site=st.sampled_from(_REPLACEABLE), value=_JSON_VALUES)
+    def test_one_replaced_value_loads_or_is_a_config_error(self, site, value):
+        index, path = site
+        cfg = copy.deepcopy(_SHIPPED_CONFIGS[index])
+        parent = cfg
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        try:
+            spec = spec_from_dict(cfg)
+        except ConfigError:
+            return
+        assert isinstance(spec, ExperimentSpec)
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec), allow_nan=False))) == spec
